@@ -4,7 +4,10 @@ Standard (1 - 1/e)-approximate greedy: repeatedly take the node covering
 the most not-yet-covered RR sets.  Implemented with the classic linear-time
 counting scheme: per-node coverage counts are maintained incrementally —
 when a set becomes covered, the counts of *all* its members drop by one —
-so the total work is O(Σ|R_j| + n·k) rather than O(n · k · Σ|R_j|).
+so the total work is O(Σ|R_j| + n·k) rather than O(n · k · Σ|R_j|).  The
+sets containing each pick come from the pool's node→set index
+(:meth:`~repro.sampling.rr_collection.RRCollection.node_index`), which
+the pool keeps current across calls instead of every call re-sorting it.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.exceptions import ParameterError
-from repro.sampling.rr_collection import RRCollection
+from repro.sampling.rr_collection import RRCollection, sets_in_range
 
 
 @dataclass(frozen=True)
@@ -38,7 +41,7 @@ class MaxCoverageResult:
         return scale * self.coverage / self.num_sets
 
 
-def _concat_ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+def concat_ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
     """Concatenate integer ranges [starts[i], stops[i]) without a Python loop."""
     lengths = stops - starts
     total = int(lengths.sum())
@@ -69,22 +72,14 @@ def max_coverage(
         raise ParameterError(f"k must satisfy 1 <= k <= n={n}, got {k}")
     flat, offsets = collection.flat_view(start, end)
     num_sets = len(offsets) - 1
+    # The pool's node→set index; each pick's sets in the range are one
+    # slice of its postings.
+    postings, node_ptr = collection.node_index()
+    bounds = np.array([start, start + num_sets], dtype=postings.dtype)
 
     counts = np.bincount(flat, minlength=n).astype(np.int64)
     chosen = np.zeros(n, dtype=bool)
     covered = np.zeros(num_sets, dtype=bool)
-
-    # Inverted index: for node v, entry_positions[node_starts[v]:node_starts[v+1]]
-    # are positions of v's occurrences in `flat`; set_of_entry maps a flat
-    # position to its owning RR-set id.
-    order = np.argsort(flat, kind="stable") if flat.size else np.zeros(0, dtype=np.int64)
-    sorted_nodes = flat[order] if flat.size else flat
-    node_starts = np.searchsorted(sorted_nodes, np.arange(n + 1))
-    set_of_entry = (
-        np.repeat(np.arange(num_sets, dtype=np.int64), np.diff(offsets))
-        if num_sets
-        else np.zeros(0, dtype=np.int64)
-    )
 
     seeds: list[int] = []
     marginals: list[int] = []
@@ -97,14 +92,13 @@ def max_coverage(
         seeds.append(best)
         chosen[best] = True
 
-        positions = order[node_starts[best] : node_starts[best + 1]]
-        containing = set_of_entry[positions]
+        containing = sets_in_range(postings, node_ptr, best, bounds) - bounds[0]
         newly = containing[~covered[containing]]
         marginals.append(int(newly.size))
         total_covered += int(newly.size)
         covered[newly] = True
         if newly.size:
-            touched = flat[_concat_ranges(offsets[newly], offsets[newly + 1])]
+            touched = flat[concat_ranges(offsets[newly], offsets[newly + 1])]
             np.subtract.at(counts, touched, 1)
         counts[best] = -1  # never re-pick
 

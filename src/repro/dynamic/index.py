@@ -41,39 +41,32 @@ import numpy as np
 
 from repro.dynamic.delta import GraphDelta
 from repro.exceptions import SamplingError
+from repro.sampling.rr_collection import postings_hits
 
 
 class RRSetIndex:
     """Immutable inverted index: which stored sets contain each node.
 
-    Built in O(total entries) from the collection's compiled flat view;
-    ``sets_containing`` answers per-node membership via two pointer
-    lookups and a slice.  The index describes the collection at build
-    time — rebuild after appends, truncation, or repair.
+    A view of the pool's own node→set index
+    (:meth:`~repro.sampling.rr_collection.RRCollection.node_index`), so
+    building one costs nothing once the pool's readers have kept that
+    index current; ``sets_containing`` is the same postings union the
+    coverage queries run.  The index describes the collection at build
+    time — take a new one after appends, truncation, or repair.
     """
 
-    def __init__(self, n: int, sets_by_node: np.ndarray, node_ptr: np.ndarray, count: int) -> None:
+    def __init__(self, n: int, postings: np.ndarray, node_ptr: np.ndarray, count: int) -> None:
         self.n = int(n)
-        self._sets_by_node = sets_by_node
+        self._postings = postings
         self._node_ptr = node_ptr
         self.count = int(count)
 
     @classmethod
     def from_collection(cls, collection) -> "RRSetIndex":
-        """Index any object with ``n`` and ``flat_view()`` (an
+        """Index any object with ``n`` and ``node_index()`` (an
         :class:`~repro.sampling.rr_collection.RRCollection` or snapshot)."""
-        flat, offsets = collection.flat_view()
-        count = len(offsets) - 1
-        set_ids = np.repeat(
-            np.arange(count, dtype=np.int64), np.diff(offsets)
-        )
-        order = np.argsort(flat, kind="stable")
-        nodes_sorted = flat[order]
-        sets_by_node = set_ids[order]
-        node_ptr = np.searchsorted(
-            nodes_sorted, np.arange(collection.n + 1, dtype=np.int64)
-        )
-        return cls(collection.n, sets_by_node, node_ptr, count)
+        postings, node_ptr = collection.node_index()
+        return cls(collection.n, postings, node_ptr, len(collection))
 
     def sets_containing(self, nodes) -> np.ndarray:
         """Sorted distinct ids of sets containing any of ``nodes``."""
@@ -84,11 +77,8 @@ class RRSetIndex:
             )
         if nodes.size == 0:
             return np.zeros(0, dtype=np.int64)
-        parts = [
-            self._sets_by_node[self._node_ptr[v] : self._node_ptr[v + 1]]
-            for v in nodes
-        ]
-        return np.unique(np.concatenate(parts))
+        hits = postings_hits(self._postings, self._node_ptr, nodes, 0, self.count)
+        return np.flatnonzero(hits)
 
     def invalidated_by(self, delta: GraphDelta) -> np.ndarray:
         """Set ids a mutation batch invalidates (the head-containment

@@ -25,14 +25,14 @@ import math
 
 import numpy as np
 
-from repro.core.max_coverage import MaxCoverageResult
+from repro.core.max_coverage import MaxCoverageResult, concat_ranges
 from repro.core.result import IMResult
 from repro.core.thresholds import max_iterations, sample_cap
 from repro.diffusion.models import DiffusionModel
 from repro.exceptions import ParameterError
 from repro.graph.digraph import CSRGraph
 from repro.sampling.base import make_sampler
-from repro.sampling.rr_collection import RRCollection
+from repro.sampling.rr_collection import RRCollection, sets_in_range
 from repro.utils.mathstats import upsilon
 from repro.utils.timer import Timer
 from repro.utils.validation import check_delta, check_epsilon
@@ -62,19 +62,13 @@ def budgeted_max_coverage(
 
     flat, offsets = collection.flat_view(start, end)
     num_sets = len(offsets) - 1
+    postings, node_ptr = collection.node_index()
+    bounds = np.array([start, start + num_sets], dtype=postings.dtype)
     base_counts = np.bincount(flat, minlength=n).astype(np.float64)
 
     # Candidate 1: ratio greedy.
     counts = base_counts.copy()
     covered = np.zeros(num_sets, dtype=bool)
-    order = np.argsort(flat, kind="stable") if flat.size else np.zeros(0, dtype=np.int64)
-    sorted_nodes = flat[order] if flat.size else flat
-    node_starts = np.searchsorted(sorted_nodes, np.arange(n + 1))
-    set_of_entry = (
-        np.repeat(np.arange(num_sets, dtype=np.int64), np.diff(offsets))
-        if num_sets
-        else np.zeros(0, dtype=np.int64)
-    )
 
     greedy_seeds: list[int] = []
     greedy_marginals: list[int] = []
@@ -88,15 +82,13 @@ def budgeted_max_coverage(
         v = int(np.argmax(ratios))
         if ratios[v] <= 0:
             break
-        positions = order[node_starts[v] : node_starts[v + 1]]
-        containing = set_of_entry[positions]
+        containing = sets_in_range(postings, node_ptr, v, bounds) - bounds[0]
         newly = containing[~covered[containing]]
         greedy_seeds.append(v)
         greedy_marginals.append(int(newly.size))
         covered[newly] = True
         if newly.size:
-            lengths = offsets[newly + 1] - offsets[newly]
-            touched = flat[_concat(offsets[newly], lengths)]
+            touched = flat[concat_ranges(offsets[newly], offsets[newly + 1])]
             np.subtract.at(counts, touched, 1)
         excluded[v] = True
         remaining -= float(costs[v])
@@ -126,17 +118,6 @@ def budgeted_max_coverage(
         num_sets=num_sets,
         marginal_coverage=greedy_marginals,
     )
-
-
-def _concat(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    total = int(lengths.sum())
-    if total == 0:
-        return np.zeros(0, dtype=np.int64)
-    out = np.ones(total, dtype=np.int64)
-    out[0] = starts[0]
-    boundaries = np.cumsum(lengths)[:-1]
-    out[boundaries] = starts[1:] - (starts[:-1] + lengths[:-1]) + 1
-    return np.cumsum(out)
 
 
 def budgeted_dssa(

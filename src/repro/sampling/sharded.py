@@ -90,6 +90,8 @@ class ShardedSampler(RRSampler):
     ) -> None:
         if workers < 1:
             raise SamplingError(f"need at least one worker, got {workers}")
+        # Before super().__init__: resolving kernel="auto" reads the model.
+        self.model = DiffusionModel.parse(model)
         super().__init__(
             graph, seed, roots=roots, max_hops=max_hops, kernel=kernel,
             graph_version=graph_version,
@@ -107,7 +109,6 @@ class ShardedSampler(RRSampler):
                 "custom kernels must be registered in repro.sampling.kernels."
                 "KERNELS first"
             )
-        self.model = DiffusionModel.parse(model)
         self._workers = int(workers)
         self.backend = make_backend(backend)
         self.backend.start(

@@ -96,6 +96,7 @@ class InfluenceServer:
         self._stop_event: asyncio.Event | None = None
         self._stop_requested = False
         self._tasks: set = set()
+        self._handlers: dict = {}  # connection task -> its StreamWriter
         self._connections = 0
 
     @property
@@ -199,6 +200,24 @@ class InfluenceServer:
         task.add_done_callback(self._tasks.discard)
         return task
 
+    def _tracked(self, handler):
+        """``handler`` as a ``start_server`` callback the server can stop.
+
+        ``asyncio.start_server`` runs each connection handler as a task
+        it does not track, so the server registers each one with its
+        writer; shutdown closes the writers and awaits the tasks.
+        """
+
+        async def run(reader, writer) -> None:
+            task = asyncio.current_task()
+            self._handlers[task] = writer
+            try:
+                await handler(reader, writer)
+            finally:
+                del self._handlers[task]
+
+        return run
+
     async def _handle_connection(self, reader, writer) -> None:
         """One client connection: pipelined request lines in, responses out.
 
@@ -289,11 +308,13 @@ class InfluenceServer:
         if self._stop_requested:
             # shutdown() signalled before the loop started running.
             self._stop_event.set()
-        server = await asyncio.start_server(self._handle_connection, sock=self._sock)
+        server = await asyncio.start_server(
+            self._tracked(self._handle_connection), sock=self._sock
+        )
         metrics_server = None
         if self._metrics_sock is not None:
             metrics_server = await asyncio.start_server(
-                self._handle_metrics, sock=self._metrics_sock
+                self._tracked(self._handle_metrics), sock=self._metrics_sock
             )
         try:
             await self._stop_event.wait()
@@ -301,9 +322,6 @@ class InfluenceServer:
             server.close()
             if metrics_server is not None:
                 metrics_server.close()
-            await server.wait_closed()
-            if metrics_server is not None:
-                await metrics_server.wait_closed()
             # Outstanding request tasks: cancel the awaits (the executor
             # side of an in-flight query still runs to completion and
             # releases its snapshot; only the response write is dropped).
@@ -311,6 +329,23 @@ class InfluenceServer:
                 task.cancel()
             if self._tasks:
                 await asyncio.gather(*self._tasks, return_exceptions=True)
+            # Then the connection handlers.  Closing a connection ends
+            # its handler's read loop, and the handler finishes normally;
+            # one still pending when the loop closes would be destroyed
+            # mid-await ("Task was destroyed but it is pending!").  A
+            # handler that started during the gather is caught by the
+            # next pass.
+            while self._handlers:
+                handlers = list(self._handlers.items())
+                for _task, writer in handlers:
+                    writer.close()
+                await asyncio.gather(*(task for task, _ in handlers), return_exceptions=True)
+            # Only now wait for the listeners: from Python 3.12.1 on,
+            # ``wait_closed`` also waits for every accepted connection
+            # to drop, so awaiting it first would hang on an idle client.
+            await server.wait_closed()
+            if metrics_server is not None:
+                await metrics_server.wait_closed()
 
     def serve_forever(self) -> None:
         """Block serving requests until :meth:`shutdown` (or a remote one)."""

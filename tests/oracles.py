@@ -10,6 +10,12 @@ Both IC and LT admit a *live-edge* characterization (Kempe et al. 2003):
 For graphs with a handful of edges we can enumerate all live-edge worlds
 and compute I(S) *exactly*, giving tests a ground truth that Monte Carlo
 and RIS estimates must converge to.
+
+The module also keeps reference implementations of the RR-pool readers
+that predate the pool's node→set index: greedy and budgeted greedy that
+argsort the range on every call, gather-and-cumsum coverage, and a
+from-scratch index build.  The index-backed readers must reproduce them
+exactly.
 """
 
 from __future__ import annotations
@@ -18,6 +24,8 @@ import itertools
 
 import numpy as np
 
+from repro.core.max_coverage import MaxCoverageResult
+from repro.exceptions import SamplingError
 from repro.graph.digraph import CSRGraph
 
 
@@ -109,3 +117,125 @@ def brute_force_opt(
             best_value = value
             best_seeds = list(combo)
     return best_seeds, best_value
+
+
+# ----------------------------------------------------------------------
+# Reference RR-pool readers (per-call argsort; no shared index)
+# ----------------------------------------------------------------------
+def _reference_concat(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    return (
+        np.concatenate([np.arange(a, b) for a, b in zip(starts, stops)]).astype(np.int64)
+        if len(starts)
+        else np.zeros(0, dtype=np.int64)
+    )
+
+
+def _reference_inverted(flat: np.ndarray, offsets: np.ndarray, n: int):
+    """(order, node_starts, set_of_entry) by a stable argsort of ``flat``."""
+    num_sets = len(offsets) - 1
+    order = np.argsort(flat, kind="stable")
+    node_starts = np.searchsorted(flat[order], np.arange(n + 1))
+    set_of_entry = np.repeat(np.arange(num_sets, dtype=np.int64), np.diff(offsets))
+    return order, node_starts, set_of_entry
+
+
+def reference_node_index(collection) -> tuple[np.ndarray, np.ndarray]:
+    """``(postings, node_ptr)`` of the whole collection, built from scratch."""
+    flat, offsets = collection.flat_view()
+    order, node_starts, set_of_entry = _reference_inverted(flat, offsets, collection.n)
+    return set_of_entry[order].astype(np.int32), node_starts.astype(np.int64)
+
+
+def reference_coverage(collection, seeds, *, start: int = 0, end: int | None = None) -> int:
+    """``Cov_R(S)`` by gathering every entry of the range and cumsumming hits."""
+    flat, offsets = collection.flat_view(start, end)
+    seed_arr = np.asarray(list(seeds), dtype=np.int64)
+    if seed_arr.size and (seed_arr.min() < 0 or seed_arr.max() >= collection.n):
+        raise SamplingError("seed id out of range in coverage query")
+    seed_mask = np.zeros(collection.n, dtype=bool)
+    seed_mask[seed_arr] = True
+    cum = np.concatenate(([0], np.cumsum(seed_mask[flat])))
+    return int(((cum[offsets[1:]] - cum[offsets[:-1]]) > 0).sum())
+
+
+def reference_max_coverage(collection, k: int, *, start: int = 0, end: int | None = None):
+    """Greedy max-coverage that re-sorts the range on every call."""
+    n = collection.n
+    flat, offsets = collection.flat_view(start, end)
+    num_sets = len(offsets) - 1
+    counts = np.bincount(flat, minlength=n).astype(np.int64)
+    chosen = np.zeros(n, dtype=bool)
+    covered = np.zeros(num_sets, dtype=bool)
+    order, node_starts, set_of_entry = _reference_inverted(flat, offsets, n)
+    seeds: list[int] = []
+    marginals: list[int] = []
+    for _ in range(k):
+        best = int(np.argmax(counts))
+        if counts[best] <= 0:
+            break
+        seeds.append(best)
+        chosen[best] = True
+        containing = set_of_entry[order[node_starts[best] : node_starts[best + 1]]]
+        newly = containing[~covered[containing]]
+        marginals.append(int(newly.size))
+        covered[newly] = True
+        if newly.size:
+            np.subtract.at(counts, flat[_reference_concat(offsets[newly], offsets[newly + 1])], 1)
+        counts[best] = -1
+    for v in range(n):
+        if len(seeds) == k:
+            break
+        if not chosen[v]:
+            seeds.append(v)
+            marginals.append(0)
+    return MaxCoverageResult(
+        seeds=seeds, coverage=int(sum(marginals)), num_sets=num_sets,
+        marginal_coverage=marginals,
+    )
+
+
+def reference_budgeted_max_coverage(
+    collection, costs: np.ndarray, budget: float, *, start: int = 0, end: int | None = None
+):
+    """Khuller–Moss–Naor budgeted greedy that re-sorts the range per call."""
+    n = collection.n
+    costs = np.asarray(costs, dtype=np.float64)
+    flat, offsets = collection.flat_view(start, end)
+    num_sets = len(offsets) - 1
+    base_counts = np.bincount(flat, minlength=n).astype(np.float64)
+    counts = base_counts.copy()
+    covered = np.zeros(num_sets, dtype=bool)
+    order, node_starts, set_of_entry = _reference_inverted(flat, offsets, n)
+    seeds: list[int] = []
+    marginals: list[int] = []
+    remaining = float(budget)
+    excluded = np.zeros(n, dtype=bool)
+    while True:
+        affordable = (~excluded) & (costs <= remaining)
+        if not affordable.any():
+            break
+        ratios = np.where(affordable, counts / costs, -np.inf)
+        v = int(np.argmax(ratios))
+        if ratios[v] <= 0:
+            break
+        containing = set_of_entry[order[node_starts[v] : node_starts[v + 1]]]
+        newly = containing[~covered[containing]]
+        seeds.append(v)
+        marginals.append(int(newly.size))
+        covered[newly] = True
+        if newly.size:
+            np.subtract.at(counts, flat[_reference_concat(offsets[newly], offsets[newly + 1])], 1)
+        excluded[v] = True
+        remaining -= float(costs[v])
+    greedy_cov = int(sum(marginals))
+    masked = np.where(costs <= budget, base_counts, -1.0)
+    best_single = int(np.argmax(masked))
+    if masked[best_single] > 0 and int(base_counts[best_single]) > greedy_cov:
+        single_cov = int(base_counts[best_single])
+        return MaxCoverageResult(
+            seeds=[best_single], coverage=single_cov, num_sets=num_sets,
+            marginal_coverage=[single_cov],
+        )
+    return MaxCoverageResult(
+        seeds=seeds, coverage=greedy_cov, num_sets=num_sets, marginal_coverage=marginals
+    )

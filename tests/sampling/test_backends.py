@@ -418,3 +418,22 @@ class TestParallelAlgorithms:
             workers=2, max_samples=20_000,
         )
         assert len(result.seeds) == 5
+
+
+class TestAutoKernelOnShardedBackends:
+    """One-shot ``kernel="auto"`` on a sharded backend resolves the kernel
+    before the fleet starts and answers exactly as the serial run does."""
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("algorithm", ["ssa", "dssa", "imm"])
+    def test_answer_equals_serial(self, medium_wc_graph, algorithm, backend):
+        from repro.baselines.imm import imm
+        from repro.core.ssa import ssa
+
+        run = {"ssa": ssa, "dssa": dssa, "imm": imm}[algorithm]
+        options = dict(epsilon=0.25, model="IC", seed=35, kernel="auto", max_samples=20_000)
+        serial = run(medium_wc_graph, 5, **options)
+        sharded = run(medium_wc_graph, 5, backend=backend, workers=2, **options)
+        assert list(sharded.seeds) == list(serial.seeds)
+        assert sharded.influence == serial.influence
+        assert sharded.samples == serial.samples

@@ -54,14 +54,14 @@ class TestCoverage:
         assert coll.coverage([0], start=2, end=4) == 1
         assert coll.coverage([0], start=1, end=2) == 0
 
-    def test_coverage_mask(self):
+    def test_per_set_coverage(self):
         coll = make_collection(4, [[0], [1], [0, 1]])
-        mask = coll.coverage_mask([0])
-        assert mask.tolist() == [True, False, True]
+        hits = [coll.coverage([0], start=i, end=i + 1) for i in range(3)]
+        assert hits == [1, 0, 1]
 
     def test_empty_range(self):
         coll = make_collection(4, [[0]])
-        assert coll.coverage_mask([0], start=1, end=1).tolist() == []
+        assert coll.coverage([0], start=1, end=1) == 0
 
     def test_out_of_range_seed_rejected(self):
         coll = make_collection(4, [[0]])
@@ -74,6 +74,10 @@ class TestCoverage:
             coll.flat_view(2, 1)
         with pytest.raises(SamplingError):
             coll.flat_view(0, 5)
+        with pytest.raises(SamplingError):
+            coll.coverage([0], start=2, end=1)
+        with pytest.raises(SamplingError):
+            coll.snapshot().coverage([0], start=0, end=2)
 
 
 class TestNodeFrequencies:
@@ -154,4 +158,4 @@ class TestGrowthAfterCompile:
         coll = make_collection(4, [[], [1], []])
         assert len(coll) == 3
         assert coll.coverage([1]) == 1
-        assert coll.coverage_mask([1]).tolist() == [False, True, False]
+        assert [coll.coverage([1], start=i, end=i + 1) for i in range(3)] == [0, 1, 0]

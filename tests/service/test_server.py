@@ -1,7 +1,12 @@
 """TCP serving: protocol correctness, concurrent clients, clean errors."""
 
+import os
+import re
 import socket
+import subprocess
+import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -157,3 +162,45 @@ class TestShutdown:
         finally:
             server.shutdown()
             service.close()
+
+
+class TestServeProcessShutdown:
+    def test_remote_shutdown_leaves_a_clean_stderr(self, tmp_path):
+        """``repro serve`` stops on a remote ``shutdown`` with no pending
+        connection handler left for the closing loop to destroy."""
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[2] / "src"))
+        stderr_path = tmp_path / "serve.err"
+        with open(stderr_path, "w") as stderr:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "repro", "serve", "--dataset", "nethept",
+                 "--scale", "0.2", "--seed", "11", "--port", "0", "--metrics-port", "0"],
+                stdout=subprocess.PIPE, stderr=stderr, text=True, env=env,
+            )
+            try:
+                port = metrics_port = None
+                for line in proc.stdout:
+                    match = re.search(r"listening on 127\.0\.0\.1:(\d+)", line)
+                    if match:
+                        port = int(match.group(1))
+                    match = re.search(r"metrics on http://127\.0\.0\.1:(\d+)/", line)
+                    if match:
+                        metrics_port = int(match.group(1))
+                        break
+                assert port is not None and metrics_port is not None, stderr_path.read_text()
+                # Idle connections leave handlers pending at shutdown; on
+                # Python >= 3.12.1 they also hold up ``Server.wait_closed``.
+                with socket.create_connection(("127.0.0.1", port)), \
+                        socket.create_connection(("127.0.0.1", metrics_port)):
+                    with ServiceClient("127.0.0.1", port, timeout=120) as client:
+                        assert len(client.call("maximize", k=3, epsilon=EPS)["seeds"]) == 3
+                        client.shutdown_server()
+                    assert proc.wait(timeout=60) == 0
+            finally:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait()
+                proc.stdout.close()
+        err = stderr_path.read_text()
+        assert "Task was destroyed" not in err, err
+        assert "Event loop is closed" not in err, err
+        assert "Traceback" not in err, err
