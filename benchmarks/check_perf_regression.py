@@ -4,8 +4,8 @@ CI's ``perf`` job runs ``bench_sampler_microbench.py`` (which emits
 ``BENCH_sampler.json``) and then this checker against
 ``benchmarks/baselines/BENCH_sampler.json``.  Hosted runners differ
 wildly in absolute sets/sec, so the gate compares the *relative*
-``speedups`` map — vectorized-vs-scalar on the same machine, same
-backend, same workload — which is a property of the code, not the
+``speedups`` map — the engine vs the per-set reference on the same
+machine, same workload — which is a property of the code, not the
 hardware.  A cell is a regression when its speedup falls more than
 ``--tolerance`` (default 30%) below the committed value.  Cells whose
 committed speedup is near 1x (below ``--min-speedup``) are reported but
@@ -57,9 +57,9 @@ def main(argv=None) -> int:
 
     current, baseline = load(args.current), load(args.baseline)
 
-    identity = current.get("byte_identity_within_kernel", {})
+    identity = current.get("byte_identity", {})
     if not identity or not all(identity.values()):
-        print(f"FAIL: within-kernel byte-identity broken: {identity}")
+        print(f"FAIL: byte-identity with the per-set reference broken: {identity}")
         return 1
 
     regressions, missing, compared = [], [], 0
@@ -70,7 +70,7 @@ def main(argv=None) -> int:
             print(f"  skip {cell}: not measured in this run")
             continue
         for kernel, base_speedup in sorted(base_kernels.items()):
-            if kernel == "scalar":
+            if kernel == "reference":
                 continue  # the 1.0 reference by construction
             if backend in args.informational:
                 shown = cur_kernels.get(kernel)

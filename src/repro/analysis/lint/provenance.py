@@ -1,8 +1,8 @@
 """provenance-stamp: stream identity must be threaded, never defaulted.
 
 Replayability rests on every artifact carrying its full stream
-provenance: which kernel/derivation produced the RR sets (``stream_id``),
-from which ``seed``, under which ``model``/``horizon``.  The dataclasses
+provenance: which derivation produced the RR sets (``stream_id``), from
+which ``seed``, under which ``model``/``horizon``.  The dataclasses
 involved give these fields defaults so old call sites keep importing —
 but a *new* call site that silently inherits a default is exactly how a
 pool gets keyed to the wrong stream or a results row becomes
@@ -11,7 +11,7 @@ unreplayable.  This checker makes the defaults unusable:
 * ``PoolKey(...)`` must pass ``stream_id`` and ``graph_version``
   explicitly (or all six positionals) — pools cache RR sets per stream
   *per graph snapshot*, and a defaulted field would alias pools across
-  kernels or across mutations;
+  derivations or across mutations;
 * ``RunRecord(...)`` must pass every provenance field — ``seed``,
   ``backend``, ``workers``, ``kernel``, ``stream_id``,
   ``graph_version`` — explicitly; ``None`` is fine (it states "not
@@ -23,8 +23,8 @@ unreplayable.  This checker makes the defaults unusable:
   embedding in :func:`repro.service.store.make_stamp`);
 * a ``state_dict`` method in ``repro/sampling/`` that returns a dict
   literal must include ``"stream_id"`` and ``"graph_version"`` keys —
-  resuming a stream without its kernel identity or graph lineage is how
-  cross-kernel and cross-mutation resume bugs are born.
+  resuming a stream without its derivation or graph lineage is how
+  cross-derivation and cross-mutation resume bugs are born.
 
 A call made with ``**kwargs`` is skipped: the checker cannot see the
 keys, and forcing a rewrite there would be guessing.
@@ -48,9 +48,9 @@ _REQUIRED = {
     "PoolKey": (
         {"stream_id", "graph_version"},
         6,
-        "pools cache RR sets per kernel stream per graph snapshot; a "
+        "pools cache RR sets per stream derivation per graph snapshot; a "
         "defaulted stream_id or graph_version aliases pools across "
-        "kernels or across mutations",
+        "derivations or across mutations",
     ),
     "RunRecord": (
         {"seed", "backend", "workers", "kernel", "stream_id", "graph_version"},
@@ -131,7 +131,7 @@ class ProvenanceChecker(Checker):
                     if isinstance(k, ast.Constant) and isinstance(k.value, str)
                 }
                 for field, what in (
-                    ("stream_id", "kernel identity"),
+                    ("stream_id", "stream derivation"),
                     ("graph_version", "graph lineage"),
                 ):
                     if field not in keys:

@@ -3,7 +3,7 @@
 Scope: ``repro/sampling/`` and ``repro/diffusion/`` — the code that
 defines the RR stream.  The contract (PR 5, ``docs/INVARIANTS.md``): the
 merged RR stream is a **pure function of the seed alone**.  Anything
-that injects entropy from outside the per-set SeedSequence derivation —
+that injects entropy from outside the counter-based stream derivation —
 the process-global numpy RNG, the stdlib ``random`` module, fresh-
 entropy ``default_rng()``, the wall clock, or the iteration order of a
 ``set`` — silently breaks byte-reproducibility across runs, backends,

@@ -51,7 +51,7 @@ from repro.sampling.backends import (
     run_worker,
     set_network_defaults,
 )
-from repro.sampling.kernels import AUTO_KERNEL, KERNELS
+from repro.sampling.kernels import KERNEL_NAMES
 from repro.service import (
     InfluenceServer,
     InfluenceService,
@@ -598,12 +598,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--kernel",
             default=None,
-            choices=sorted(KERNELS) + [AUTO_KERNEL],
-            help="reverse-sampling kernel: 'scalar' (historical stream, "
-            "default), 'vectorized' (frontier-at-once numpy BFS), "
-            "'batched'/'lt-batched' (whole-batch lockstep lanes; fastest "
-            "on small-set regimes like weighted cascade), or 'auto' "
-            "(resolve per workload; provenance records the resolved name)",
+            choices=KERNEL_NAMES,
+            help="accepted for compatibility and reported back, but selects "
+            "nothing: every name samples the same RR stream on the same "
+            "engine",
         )
         add_hosts(p)
 
@@ -648,7 +646,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_query.add_argument("--seed", type=int, default=7)
     p_query.add_argument("--backend", default="serial", choices=sorted(BACKENDS))
     p_query.add_argument("--workers", type=int, default=None)
-    p_query.add_argument("--kernel", default=None, choices=sorted(KERNELS) + [AUTO_KERNEL])
+    p_query.add_argument("--kernel", default=None, choices=KERNEL_NAMES)
     add_hosts(p_query)
     p_query.add_argument(
         "--connect",
@@ -701,7 +699,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--seed", type=int, default=7)
     p_serve.add_argument("--backend", default="serial", choices=sorted(BACKENDS))
     p_serve.add_argument("--workers", type=int, default=None)
-    p_serve.add_argument("--kernel", default=None, choices=sorted(KERNELS) + [AUTO_KERNEL])
+    p_serve.add_argument("--kernel", default=None, choices=KERNEL_NAMES)
     add_hosts(p_serve)
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument(

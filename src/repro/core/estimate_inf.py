@@ -13,6 +13,7 @@ The returned estimate satisfies the one-sided guarantee of Lemma 3:
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -77,15 +78,37 @@ def estimate_influence(
         raise ParameterError("seed id out of range")
     seed_mask[seed_arr] = True
 
+    # Draw ahead in blocks through the lockstep engine (one set per call
+    # would pay a block's dispatch for every set): at first the successes
+    # still missing, doubling while none has come, then as many sets as
+    # the hit rate so far says are needed.  Sets past the stopping point
+    # are given back, so the stream stops at the same set a one-at-a-time
+    # loop would.
     successes = 0
-    for t in range(1, max_samples + 1):
-        rr = sampler.sample()
-        if seed_mask[rr].any():
-            successes += 1
-            if successes >= lambda_2:
-                return InfluenceEstimate(
-                    influence=sampler.scale * lambda_2 / t,
-                    samples_used=t,
-                    successes=successes,
-                )
+    t = 0
+    while t < max_samples:
+        missing = math.ceil(lambda_2 - successes)
+        want = max(missing, t) if successes == 0 else missing * t / successes
+        count = min(max_samples - t, max(1, math.ceil(want)))
+        batch = sampler.sample_batch(count)
+        sizes = np.fromiter(map(len, batch), dtype=np.int64, count=count)
+        # Every RR set holds its root, so no reduceat segment is empty.
+        hits = np.logical_or.reduceat(
+            seed_mask[np.concatenate(batch)], np.cumsum(sizes) - sizes
+        )
+        reached = successes + np.cumsum(hits)
+        if reached[-1] >= lambda_2:
+            used = int(np.searchsorted(reached, lambda_2)) + 1
+            sampler.seek(
+                sampler.sets_generated - (count - used),
+                entries=sampler.entries_generated - int(sizes[used:].sum()),
+            )
+            t += used
+            return InfluenceEstimate(
+                influence=sampler.scale * lambda_2 / t,
+                samples_used=t,
+                successes=int(reached[used - 1]),
+            )
+        successes = int(reached[-1])
+        t += count
     return InfluenceEstimate(influence=None, samples_used=max_samples, successes=successes)

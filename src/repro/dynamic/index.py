@@ -4,35 +4,25 @@ This is the invalidation oracle for incremental repair: given a mutation
 batch, which stored RR sets could the mutation have changed?
 
 **The invalidation rule.**  Any mutation of edge (u → v) — insert,
-delete, or reweight — invalidates exactly the RR sets whose stored
-nodes include the *target* v.  Soundness is a statement about the
-reverse-sampling kernels, not about reachability alone:
+delete, or reweight — invalidates the RR sets whose stored nodes
+include the *target* v.  A reverse traversal only ever reads the
+in-adjacency of nodes it *visits*, and the visited nodes are exactly
+the stored set (the IC BFS and the LT walk record every expanded node).
+A set that does not contain v never read v's in-edge list, and every
+draw it made is keyed on its own set key and on the edge or hop it
+decided (:mod:`repro.sampling.seedstream`), so replaying it on the
+mutated graph gives the same bytes.  A set containing v is resampled.
 
-* A reverse traversal only ever reads the in-adjacency of nodes it
-  *visits*, and the visited nodes are exactly the stored set (both IC
-  kernels and the LT walk record every expanded node).  A set that does
-  not contain v never read v's in-edge list, and no other node's
-  in-edge list changed, so replaying it on the mutated graph consumes
-  byte-identical draws: the root draw depends only on n, and each
-  expansion of node x draws from x's unchanged in-adjacency.
-* Conversely a set containing v *did* read v's in-edge list — its draw
-  counts (IC flips one coin per in-edge of v; LT's searchsorted hop
-  picks within v's in-edge weight range) may differ on the mutated
-  graph, so it must be resampled.
-
-Note this is deliberately *stronger* than the tempting refinement
-"deletes/reweights only matter if the set contains both endpoints":
-that refinement is reachability-sound but **stream-unsound** — removing
-(u → v) changes the number of RNG draws consumed while expanding v even
-when u was never reached, which shifts every subsequent draw of that
-set and breaks byte-identity with a cold resample.  Containment of the
-target is the exact criterion for "this set's draw sequence is
-unchanged".
+The rule is sound, not tight: with coins keyed on edges, a set
+containing v changes only if the mutated edge's liveness flips under
+its own coin (IC) or the hop out of v lands elsewhere (LT).  Checking
+that is left for later; resampling every containing set is exact.
 
 A node-count change (an insert referencing a new node id) invalidates
-everything: root selection draws over ``n`` itself, so no stored set's
-draws survive.  Callers handle that case before consulting the index
-(see :meth:`repro.service.pool.PoolManager.mutate_namespace`).
+everything: root selection maps each set's root draw over ``n``
+itself, so no stored set's root survives.  Callers handle that case
+before consulting the index (see
+:meth:`repro.service.pool.PoolManager.mutate_namespace`).
 """
 
 from __future__ import annotations

@@ -2,10 +2,12 @@
 
 Seed purity is what makes this exact rather than approximate: stream set
 ``g`` is a pure function of ``(seed, g, graph)``, so resampling exactly
-the invalidated ids via ``sample_at(g)`` on the mutated graph rebuilds a
+the invalidated ids via ``sample_block`` on the mutated graph rebuilds a
 pool byte-identical to one sampled cold on that graph — for any
-execution backend and any kernel, because the repair runs the same
-per-set derivation every backend runs.
+execution backend, because the repair runs the same derivation every
+backend runs.  Coins are keyed on the edge ``(u, v)``, not on its CSR
+position: an insertion shifts the position of every later in-edge, and
+a position-keyed coin would change sets the delta never touched.
 """
 
 from __future__ import annotations
@@ -46,12 +48,11 @@ def repair_context(ctx, graph, graph_version: int, delta: GraphDelta) -> dict:
             ctx.sampler.seed_stream,
             roots=ctx.roots,
             max_hops=ctx.horizon,
-            kernel=ctx.kernel,
             graph_version=int(graph_version),
         )
         try:
-            # One block call instead of a per-set loop: batched kernels
-            # repair the whole invalidation set in lockstep, and
+            # One block call instead of a per-set loop: the lockstep path
+            # repairs the whole invalidation set at once, and
             # batch-composition invariance keeps each set byte-identical
             # to its sample_at(g) bytes.
             repaired = repairer.sample_block(np.asarray(invalid, dtype=np.int64))

@@ -21,8 +21,8 @@ many times" economics of probabilistic databases:
   all resolve through.
 
 Because the RR stream is a pure function of the seed alone —
-independent of batching, backend, and worker count (per-set SeedSequence
-derivation; see :mod:`repro.sampling.seedstream`) — a warm session's
+independent of batching, backend, and worker count (counter-based
+draws; see :mod:`repro.sampling.seedstream`) — a warm session's
 cached pool is the byte-exact prefix of any cold run's stream, so
 repeated queries *top up* instead of resampling while returning
 byte-identical results to the one-shot functions at equal seeds, and

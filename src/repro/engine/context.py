@@ -49,9 +49,8 @@ class SamplingContext:
         fresh verification sampler derived exactly as a cold ``ssa``
         call would derive it.
     kernel:
-        Reverse-sampling kernel (see :mod:`repro.sampling.kernels`);
-        defines the stream's ``stream_id``, shared by the main sampler,
-        the pool, and every verification sampler the context derives.
+        Accepted kernel name (see :mod:`repro.sampling.kernels`):
+        validated, selects nothing.
     """
 
     def __init__(
@@ -92,7 +91,6 @@ class SamplingContext:
             kernel=kernel,
             graph_version=self.graph_version,
         )
-        self.kernel = self.sampler.kernel
         self.pool = RRCollection(graph.n, stream_id=self.sampler.stream_id)
         self.sampled = 0  # RR sets actually generated into the pool
         self.served = 0  # RR sets demanded by queries (cache hits included)
@@ -146,7 +144,7 @@ class SamplingContext:
             rng = None
         return make_sampler(
             self.graph, self.model, rng, roots=self.roots, max_hops=self.horizon,
-            kernel=self.kernel, graph_version=self.graph_version,
+            graph_version=self.graph_version,
         )
 
     # ------------------------------------------------------------------
@@ -190,7 +188,7 @@ class SamplingContext:
             roots=self.roots,
             max_hops=self.horizon,
             backend=self._backend if self._backend is not None else "thread",
-            kernel=self.kernel,
+            graph_version=self.graph_version,
         )
         upgraded.load_state_dict(state)
         old, self.sampler = self.sampler, upgraded
@@ -241,15 +239,13 @@ class SamplingContext:
                 roots=self.roots,
                 max_hops=self.horizon,
                 backend=backend if backend is not None else "thread",
-                kernel=self.kernel,
                 graph_version=graph_version,
             )
         else:
             old.close()
             replacement = make_sampler(
                 graph, self.model, seed_stream, roots=self.roots,
-                max_hops=self.horizon, kernel=self.kernel,
-                graph_version=graph_version,
+                max_hops=self.horizon, graph_version=graph_version,
             )
         replacement.load_state_dict(state)
         self.sampler = replacement

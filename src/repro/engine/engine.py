@@ -51,6 +51,7 @@ from repro.diffusion.models import DiffusionModel
 from repro.engine.context import SamplingContext
 from repro.engine.registry import AlgorithmSpec, get_algorithm
 from repro.exceptions import ParameterError
+from repro.sampling.seedstream import STREAM_ID
 
 #: pool floor for :meth:`InfluenceEngine.estimate` on an empty session.
 _DEFAULT_ESTIMATE_SAMPLES = 4096
@@ -117,15 +118,12 @@ class InfluenceEngine:
         value — and can be changed per query (``maximize(...,
         workers=)``) or session-wide at runtime (:meth:`resize`).
     kernel:
-        Reverse-sampling kernel for every context the session opens
-        (``"scalar"`` — the default, historical stream —
-        ``"vectorized"``, the lockstep batch kernels ``"batched"`` /
-        ``"lt-batched"``, or ``"auto"`` to pick per workload; see
-        :mod:`repro.sampling.kernels`).  ``"auto"`` resolves **once**,
-        at session construction, against the session's graph and model;
-        the concrete kernel is what provenance and pool keys record.
-        Pools are keyed by the kernel's ``stream_id``, so sessions on
-        different kernels never share or reattach each other's pools.
+        A kernel name (``"scalar"``, the default, ``"vectorized"``,
+        ``"batched"``, ``"lt-batched"`` or ``"auto"``).  Accepted for
+        compatibility and reported back as :attr:`kernel`, but it
+        selects nothing: every name samples the same stream, so
+        sessions given different names share and reattach each other's
+        pools (see :mod:`repro.sampling.kernels`).
     pool_budget:
         Optional byte budget over the session's RR pools; exceeding it
         evicts idle pools least-recently-used first (spilling them to
@@ -186,16 +184,7 @@ class InfluenceEngine:
                 "pass a Generator to the one-shot functions instead"
             )
         self.seed = int(seed)
-        # "auto" resolves here, once per session, against the session's
-        # graph/model/seed; every context, pool key, and provenance
-        # record then carries the concrete kernel.
-        self.kernel = resolve_kernel(
-            kernel,
-            graph=self._graph_view.graph,
-            model=self.model,
-            seed=self.seed,
-            roots=roots,
-        )
+        self.kernel = resolve_kernel(kernel)  # validated; selects nothing
         self.backend = backend
         self.workers = workers
         self.roots = roots
@@ -250,7 +239,7 @@ class InfluenceEngine:
         from repro.service.pool import PoolKey
 
         return PoolKey(
-            self.session, stream, model.value, horizon, self.kernel.stream_id,
+            self.session, stream, model.value, horizon, STREAM_ID,
             self.graph_version,
         )
 
@@ -266,7 +255,6 @@ class InfluenceEngine:
                 horizon=horizon,
                 backend=self.backend,
                 workers=self.workers,
-                kernel=self.kernel,
                 graph_version=graph_version,
             )
             return ctx, self.seed

@@ -66,9 +66,8 @@ class AlgorithmSpec:
     supports_kernel:
         Capability flags the engine and docs surface.
         ``supports_kernel`` marks algorithms whose RR sampling accepts a
-        :mod:`~repro.sampling.kernels` kernel selection (``--kernel``);
-        the vectorized kernel makes their hot loop multi-x faster on
-        dense/viral graphs (see ``BENCH_sampler.json``).
+        ``kernel=`` name (``--kernel``; kept for compatibility, every
+        name samples the same stream).
     concurrency:
         How concurrent queries for this algorithm interact in a serving
         session: ``"shared-pool"`` (engine-bodied RIS algorithms — all
@@ -139,8 +138,8 @@ def register_algorithm(
     algorithm fails fast, not at query time.  ``concurrency`` defaults
     from the engine body: ``"shared-pool"`` when one exists,
     ``"isolated"`` otherwise; ``supports_kernel`` defaults from the
-    declared ``accepts`` (an algorithm that takes ``kernel=`` selects
-    sampling kernels).
+    declared ``accepts`` (an algorithm that takes ``kernel=`` accepts
+    kernel names).
     """
     if supports_kernel is None:
         supports_kernel = "kernel" in accepts
@@ -248,16 +247,15 @@ def registry_table() -> str:
                 spec.description,
             ]
         )
-    from repro.sampling.kernels import AUTO_KERNEL, KERNELS
+    from repro.sampling.kernels import KERNEL_NAMES
 
     table = format_table(
         ["algorithm", "engine reuse", "RR sets", "backends", "horizon", "kernels", "concurrency", "description"],
         rows,
         title="Registered influence-maximization algorithms",
     )
-    names = ", ".join(sorted(KERNELS))
     return (
         f"{table}\n"
-        f"kernels: {names}, or '{AUTO_KERNEL}' (resolved per workload; "
-        "provenance records the concrete kernel)"
+        f"kernels: {', '.join(KERNEL_NAMES)} (accepted for compatibility; "
+        "every name samples the same stream)"
     )

@@ -22,6 +22,7 @@ from repro.diffusion.spread import estimate_spread
 from repro.engine.registry import get_algorithm, list_algorithms
 from repro.graph.digraph import CSRGraph
 from repro.sampling.backends import ExecutionBackend
+from repro.sampling.seedstream import STREAM_ID
 
 #: canonical algorithm names, resolved from the registry.
 ALGORITHMS = list_algorithms()
@@ -53,13 +54,14 @@ class RunRecord:
     backend: str | None = None
     # Worker count is runtime provenance only: seed-pure streams are
     # byte-identical at any count, so it documents throughput, not the
-    # result.  ``seed`` (+ kernel/stream_id) alone replays the row.
+    # result.  ``seed`` (+ stream_id) alone replays the row.
     workers: int | None = None
-    # Sampling-kernel stream the RR sets came from; None for pre-kernel
-    # records and non-sampling algorithms (the scalar stream either way).
+    # Kernel name the run was given; accepted for compatibility, it
+    # selects nothing.  None for non-sampling algorithms.
     kernel: str | None = None
-    # Full stream token (kernel + derivation version, e.g. "scalar-v2");
-    # None for records written before seed-pure streams.
+    # Stream derivation token of the RR sets (e.g. "v3"); None for
+    # non-sampling algorithms and records written before seed-pure
+    # streams.
     stream_id: str | None = None
     # Mutation lineage position of the graph the run sampled on; None
     # for records written before dynamic graphs (and for one-shot runs
@@ -101,8 +103,8 @@ def run_algorithm(
 ) -> RunRecord:
     """Run one named algorithm and collect its metrics.
 
-    ``backend``/``workers`` select the RR-sampling execution backend and
-    ``kernel`` the reverse-sampling kernel for the algorithms whose
+    ``backend``/``workers`` select the RR-sampling execution backend
+    (and ``kernel`` is validated and recorded) for the algorithms whose
     registry entry declares the capability; the simulation-based
     baselines ignore them.  Unknown names raise
     :class:`~repro.exceptions.ParameterError`.
@@ -110,12 +112,7 @@ def run_algorithm(
     from repro.sampling.base import resolve_kernel
 
     spec = get_algorithm(name)
-    # Resolve "auto" once, here, against the actual workload: the run
-    # executes on the concrete kernel and provenance records its real
-    # name/stream_id — "auto" never appears in a RunRecord.
-    resolved = resolve_kernel(
-        kernel, graph=graph, model=model, seed=_provenance_seed(seed)
-    ) if spec.supports_kernel else None
+    resolved = resolve_kernel(kernel) if spec.supports_kernel else None
     options = {
         "epsilon": epsilon,
         "delta": delta,
@@ -138,7 +135,7 @@ def run_algorithm(
         backend=_provenance_backend(backend) if spec.supports_backend else None,
         workers=workers if spec.supports_backend else None,
         kernel=resolved.name if resolved is not None else None,
-        stream_id=resolved.stream_id if resolved is not None else None,
+        stream_id=STREAM_ID if resolved is not None else None,
         graph_version=None,  # one-shot runs sample the pristine snapshot
     )
 

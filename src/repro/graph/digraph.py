@@ -53,6 +53,7 @@ class CSRGraph:
         "in_weights",
         "in_weight_totals",
         "_fingerprint",
+        "_derived",
     )
 
     def __init__(
@@ -95,6 +96,7 @@ class CSRGraph:
         ):
             arr.setflags(write=False)
         self._fingerprint: str | None = None
+        self._derived: dict = {}
 
     def _validate(self) -> None:
         if len(self.out_indptr) != self.n + 1 or len(self.in_indptr) != self.n + 1:
@@ -221,6 +223,18 @@ class CSRGraph:
 
     def __repr__(self) -> str:
         return f"CSRGraph(n={self.n}, m={self.m})"
+
+    def derived(self, name: str, build):
+        """A read-only value computed from this graph, built once.
+
+        The graph is immutable, so consumers cache what they derive from
+        it (the RR samplers' per-edge coin tables, say) here, shared by
+        every sampler on the graph, instead of per instance.
+        """
+        value = self._derived.get(name)
+        if value is None:
+            value = self._derived[name] = build(self)
+        return value
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CSRGraph):

@@ -14,14 +14,7 @@ from repro.sampling.backends import (
     ThreadBackend,
     make_backend,
 )
-from repro.sampling.kernels import (
-    KERNELS,
-    SamplingKernel,
-    ScalarKernel,
-    VectorizedKernel,
-    list_kernels,
-    make_kernel,
-)
+from repro.sampling.kernels import KERNEL_NAMES, SamplingKernel, make_kernel
 from repro.sampling.seedstream import SeedStream
 
 __all__ = [
@@ -41,10 +34,7 @@ __all__ = [
     "BACKENDS",
     "make_backend",
     "SamplingKernel",
-    "ScalarKernel",
-    "VectorizedKernel",
-    "KERNELS",
+    "KERNEL_NAMES",
     "make_kernel",
-    "list_kernels",
     "SeedStream",
 ]

@@ -10,10 +10,9 @@ module pins down the contract between the coordinator
 * each worker owns a plain :class:`~repro.sampling.base.RRSampler`
   built from the stream's seed material (``entropy`` + ``spawn_key``)
   and computes any set it is handed via
-  :meth:`~repro.sampling.base.RRSampler.sample_at` — the per-set
-  SeedSequence derivation (:mod:`repro.sampling.seedstream`) makes set
-  ``g`` a pure function of ``(seed, g)``, with its root drawn from its
-  own generator.
+  :meth:`~repro.sampling.base.RRSampler.sample_block` — counter-based
+  draws (:mod:`repro.sampling.seedstream`) make set ``g`` a pure
+  function of ``(seed, g)``, its root included.
 
 Workers therefore carry **no stream state**: any worker can compute any
 set, the merged output is a pure function of the seed alone, and the
@@ -41,14 +40,13 @@ class WorkerSpec:
     """Everything a backend needs to stand up its worker fleet.
 
     ``entropy``/``spawn_key`` identify the stream (the root SeedSequence
-    every per-set child derives from); ``workers`` is the fleet size —
-    pure throughput, no stream meaning.  ``roots`` is the root
-    distribution (``None`` = uniform over the graph's nodes); workers
-    draw each set's root from the set's own generator, so the
-    distribution object must ship to them (picklable: it crosses the
-    process boundary once, at startup).  The spec itself is cheap — only
-    the process backend pays the cost of shipping ``graph`` (once, via
-    shared memory).
+    every set key derives from); ``workers`` is the fleet size — pure
+    throughput, no stream meaning.  ``roots`` is the root distribution
+    (``None`` = uniform over the graph's nodes); workers draw each set's
+    root from the set's own key, so the distribution object must ship to
+    them (picklable: it crosses the process boundary once, at startup).
+    The spec itself is cheap — only the process backend pays the cost of
+    shipping ``graph`` (once, via shared memory).
     """
 
     graph: CSRGraph | None
@@ -58,10 +56,6 @@ class WorkerSpec:
     workers: int = 1
     roots: object | None = None
     max_hops: int | None = None
-    # Kernel *name* (not instance): it must survive pickling to process
-    # workers, and every worker must instantiate the same kernel or the
-    # merged stream would silently mix draw orders.
-    kernel: str | None = None
     # Mutation-lineage position of ``graph`` (see repro.dynamic); 0 is
     # the pristine snapshot.  Stamped into graph manifests so remote
     # workers re-fetch the blob only when the content hash changed.
@@ -193,7 +187,7 @@ class ExecutionBackend(abc.ABC):
         RR set of stream index ``index_batches[w][i]``.  ``root_batches``
         optionally pins explicit roots (aligned with the indices);
         ``None`` — the normal case — draws each root from its set's own
-        generator.
+        key.
         """
         if not self.started:
             raise SamplingError(f"{type(self).__name__} is not running (start it first)")
@@ -247,7 +241,6 @@ def build_worker_sampler(spec: WorkerSpec, graph: CSRGraph | None = None):
         np.random.SeedSequence(entropy=spec.entropy, spawn_key=spec.spawn_key),
         roots=spec.roots,
         max_hops=spec.max_hops,
-        kernel=spec.kernel,
         graph_version=spec.graph_version,
     )
 
@@ -259,11 +252,11 @@ def run_worker_batch(
 
     Shared by every backend so in-process and out-of-process paths run
     byte-identical code.  Routes through
-    :meth:`~repro.sampling.base.RRSampler.sample_block` — the batched
-    kernels' lockstep fast path — which guarantees entry ``i`` equals
-    ``sample_at(indices[i])`` byte for byte (batch-composition
-    invariance).  A negative root entry means "this set draws its own
-    root" (the wire convention for unpinned sets in a pinned batch).
+    :meth:`~repro.sampling.base.RRSampler.sample_block` — the lockstep
+    path — whose entry ``i`` equals ``sample_at(indices[i])`` byte for
+    byte (batch-composition invariance).  A negative root entry means
+    "this set draws its own root" (the wire convention for unpinned sets
+    in a pinned batch).
     """
     return sampler.sample_block(np.asarray(indices, dtype=np.int64), roots)
 

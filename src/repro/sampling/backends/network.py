@@ -669,7 +669,7 @@ class NetworkBackend(ExecutionBackend):
         # times, as hosts crash, expire, or join mid-call.  Seed purity
         # makes any assignment byte-equivalent, so retry is just
         # reassignment.  Roots are carried per-index (-1 = "draw from the
-        # set's own generator") so mixed batches survive re-partitioning.
+        # set's own key") so mixed batches survive re-partitioning.
         pending: dict[int, int] = {}
         for w, batch in enumerate(index_batches):
             roots = None if root_batches is None else root_batches[w]
@@ -750,9 +750,9 @@ class NetworkBackend(ExecutionBackend):
 def _run_indexed_batch(sampler, indices: np.ndarray, roots: "np.ndarray | None"):
     """Batch sampling with optional pinned roots (-1 = unpinned).
 
-    Routes through ``sample_block`` so worker hosts get the batched
-    kernels' lockstep fast path; the -1 convention is the block API's
-    own, and the bytes per set equal ``sample_at``'s regardless.
+    Routes through ``sample_block`` so worker hosts get the lockstep
+    path; the -1 convention is the block API's own, and the bytes per
+    set equal ``sample_at``'s regardless.
     """
     return sampler.sample_block(np.asarray(indices, dtype=np.int64), roots)
 

@@ -45,6 +45,7 @@ import multiprocessing as mp
 import os
 import sys
 import tempfile
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
@@ -202,17 +203,7 @@ class ProcessBackend(ExecutionBackend):
         )
         # The graph is in the segment now; the pickled spec must not drag
         # a second copy of it through every worker's bootstrap.
-        self._wire_spec = WorkerSpec(
-            graph=None,
-            model=spec.model,
-            entropy=spec.entropy,
-            spawn_key=spec.spawn_key,
-            workers=spec.workers,
-            roots=spec.roots,
-            max_hops=spec.max_hops,
-            kernel=spec.kernel,
-            graph_version=spec.graph_version,
-        )
+        self._wire_spec = replace(spec, graph=None)
         try:
             for worker_id in range(spec.workers):
                 self._spawn_worker(worker_id)

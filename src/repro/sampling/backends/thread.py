@@ -2,9 +2,9 @@
 
 One long-lived :class:`~concurrent.futures.ThreadPoolExecutor` runs each
 worker's batch as a task.  Each worker owns a private sampler object
-(scratch buffers and generator state must not be shared across
-concurrent tasks), but samplers carry no stream state — every per-set
-generator derives from the set's global index — so results are
+(its running coin mean must not be shared across concurrent tasks),
+but samplers carry no stream state — every draw derives from the set's
+global index — so results are
 byte-identical to :class:`~repro.sampling.backends.serial.SerialBackend`
 at any fleet size: threads change *when* a shard is computed, never
 *what* it computes.

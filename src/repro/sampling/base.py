@@ -1,20 +1,20 @@
 """Common RR-sampler interface.
 
-A sampler owns a graph, a root distribution, and a seed-pure stream
-derivation, and produces RR sets — int32 numpy arrays of the nodes that
-can reach a random root in a random sampled subgraph (Definition 2).
+A sampler owns a graph, a root distribution, and a counter-based stream
+key, and produces RR sets — int32 numpy arrays of the nodes that can
+reach a random root in a random sampled subgraph (Definition 2).
 Samplers also keep lifetime counters (sets generated, total entries)
 which the experiment harness uses for the paper's "number of RR sets"
 and memory reports.
 
-**The seed-pure stream contract.**  Set ``g`` of a stream draws its
-root and runs its reverse traversal on a generator derived from the
-per-set SeedSequence child ``g`` (see
-:mod:`repro.sampling.seedstream`), so the stream is a pure function of
-the seed alone — independent of batching, of the execution backend, of
-the worker count, and of any resize in between.  A sampler's resumable
-position is therefore a single integer (the next global index), which
-is what :meth:`RRSampler.state_dict` captures.
+**The seed-pure stream contract.**  Every draw of set ``g`` — its root,
+each IC edge coin, each LT hop — is a counter-based function of the
+set's key ``key_g = F(seed, g)`` (see :mod:`repro.sampling.seedstream`),
+so the stream is a pure function of the seed alone — independent of
+batching, of the execution backend, of the worker count, and of any
+resize in between.  A sampler's resumable position is therefore a
+single integer (the next global index), which is what
+:meth:`RRSampler.state_dict` captures.
 """
 
 from __future__ import annotations
@@ -26,31 +26,13 @@ import numpy as np
 from repro.diffusion.models import DiffusionModel
 from repro.exceptions import SamplingError
 from repro.graph.digraph import CSRGraph
-from repro.sampling.kernels import (
-    AUTO_KERNEL,
-    SamplingKernel,
-    check_stream_id,
-    make_kernel,
-)
+from repro.sampling.kernels import SamplingKernel, make_kernel
 from repro.sampling.roots import UniformRoots, WeightedRoots
-from repro.sampling.seedstream import SeedStream
+from repro.sampling.seedstream import STREAM_ID, SeedStream
 
-#: scalar pilot sets "auto" draws to observe the workload's RR size.
-AUTO_PILOT_SETS = 48
-
-#: mean pilot RR size at/below which per-set dispatch overhead dominates
-#: the cost model's per-set term and the lockstep batched kernel wins;
-#: larger sets amortize dispatch inside one frontier-at-once set, where
-#: the vectorized kernel's single-set gathers are already the fast path.
-AUTO_SMALL_SET_MEAN = 32.0
-
-#: mean pilot *coin volume* (in-degree sum over the set's nodes — the
-#: coins one IC expansion of the set flips) above which the multi-lane
-#: RNG replica's per-coin cost outweighs the dispatch it amortizes.
-#: Small RR sets on hub-heavy graphs expand high in-degree nodes, so
-#: set size alone under-counts the work; both statistics come from the
-#: same pilot sets.
-AUTO_LANE_COIN_MEAN = 256.0
+#: validates a ``kernel=`` name; kept under the name sessions have
+#: always resolved kernels by (names select nothing any more).
+resolve_kernel = make_kernel
 
 
 class RRSampler(abc.ABC):
@@ -76,26 +58,12 @@ class RRSampler(abc.ABC):
         # version mismatch — a cursor only means "prefix of *this* graph's
         # stream".
         self.graph_version = int(graph_version)
-        # The stream identity: per-set generators derive from this and a
-        # global set index, nothing else.  A Generator seed contributes
-        # only its SeedSequence (the stream is seed-pure, not
-        # generator-state-dependent).
+        # The stream identity: every draw derives from this key, a global
+        # set index and what the draw decides, nothing else.  A Generator
+        # seed contributes only its SeedSequence.
         self.seed_stream = SeedStream(seed)
-        # Generator for *explicit* `_reverse_sample` calls outside the
-        # indexed stream (reference tests, ad-hoc probing); indexed
-        # sampling rebinds this to the per-set generator before each set.
-        self.rng = np.random.default_rng(self.seed_stream.seed_sequence)
         self.roots = roots if roots is not None else UniformRoots(graph.n)
-        # The reverse-sampling kernel defines the RNG draw order, hence
-        # the stream identity (see repro.sampling.kernels).  "auto" is a
-        # selection policy, resolved here — deterministically in (seed,
-        # graph, model, roots, max_hops) — so the stream identity and
-        # everything stamped with it carry the concrete kernel name.
-        if isinstance(kernel, str) and kernel.strip().lower() == AUTO_KERNEL:
-            kernel = resolve_kernel(
-                kernel, graph=graph, model=self.model, seed=self.seed_stream,
-                roots=self.roots, max_hops=max_hops,
-            )
+        # Accepted for compatibility and reported back; selects nothing.
         self.kernel = make_kernel(kernel)
         # Horizon for time-critical IM: an RR set only reaches nodes within
         # max_hops reverse steps, mirroring a cascade truncated after
@@ -104,22 +72,20 @@ class RRSampler(abc.ABC):
         self._cursor = 0  # global index of the next auto-indexed set
         self.sets_generated = 0
         self.entries_generated = 0
-        # Generation-stamped visited marks: O(1) reset between samples.
-        self._visited_stamp = np.zeros(graph.n, dtype=np.int64)
-        self._generation = 0
-        # Reusable kernel scratch buffers (e.g. the vectorized kernel's
-        # node-flag array), keyed by the kernel that owns them.
-        self._scratch: dict = {}
+        # Running [sets, coins] over every set this sampler computed: the
+        # lockstep chunk width reads it (throughput only; see
+        # repro.sampling.kernels).
+        self._seen = [0, 0]
 
     @property
     def stream_id(self) -> str:
-        """Stream-compatibility token of this sampler's kernel.
+        """Stream-compatibility token of the derivation.
 
-        Two samplers of the same configuration produce interchangeable
-        (byte-identical) streams iff their ``stream_id`` matches; pools,
-        spill stamps, and restored states all key on it.
+        Two samplers of the same configuration produce byte-identical
+        streams iff their ``stream_id`` matches; pools, spill stamps,
+        and restored states all key on it.
         """
-        return self.kernel.stream_id
+        return STREAM_ID
 
     @property
     def scale(self) -> float:
@@ -139,54 +105,37 @@ class RRSampler(abc.ABC):
         return 1
 
     @abc.abstractmethod
-    def _reverse_sample(self, root: int) -> np.ndarray:
-        """Produce the RR set anchored at ``root`` (includes the root)."""
-
-    def _reverse_sample_block(self, indices: np.ndarray, roots) -> "list[np.ndarray]":
-        """Model-specific batch dispatch; the default is the per-set
-        reference loop (subclasses route to the kernel's block hook)."""
-        if roots is None:
-            return [self.sample_at(int(g)) for g in indices]
-        return [
-            self.sample_at(int(g)) if int(r) < 0 else self.sample_at(int(g), int(r))
-            for g, r in zip(indices, roots)
-        ]
+    def _sample_keys(self, keys: np.ndarray, roots) -> "list[np.ndarray]":
+        """The model's RR sets for a block of set keys (``roots`` as in
+        :meth:`sample_block`)."""
 
     def sample_block(self, indices, roots=None) -> "list[np.ndarray]":
         """Compute an arbitrary batch of stream sets by global index.
 
-        The batch counterpart of :meth:`sample_at` and the hook batched
-        kernels accelerate: a kernel may serve the whole batch in
-        lockstep, but set ``g``'s bytes are always exactly
-        ``sample_at(g)``'s — batch composition is unobservable
-        (batch-composition invariance, ``docs/INVARIANTS.md``).
-        ``roots`` optionally pins roots positionally; a negative entry
-        means "this set draws its own root" (the backends' wire
-        convention).  Pure in ``(seed, indices, roots)`` — cursor and
-        lifetime counters are untouched.
+        Set ``g``'s bytes are the same in any block, at any width, under
+        any neighbours (batch-composition invariance,
+        ``docs/INVARIANTS.md``).  ``roots`` optionally pins roots
+        positionally; a negative entry means "this set draws its own
+        root" (the backends' wire convention).  Pure in ``(seed,
+        indices, roots)`` — cursor and lifetime counters are untouched.
         """
         indices = np.asarray(indices, dtype=np.int64)
         if indices.size == 0:
             return []
-        return self._reverse_sample_block(indices, roots)
+        return self._sample_keys(self.seed_stream.keys(indices), roots)
 
     def sample_at(self, index: int, root: int | None = None) -> np.ndarray:
-        """Compute stream set ``index``: derive its generator, draw its
-        root (unless given), run the reverse traversal.
+        """Compute stream set ``index`` (its own root unless given).
 
         Pure in ``(seed, index)`` — it neither reads nor advances the
         sampler's own cursor, so any worker anywhere can compute any
         set.  Lifetime counters are the caller's business.
         """
-        rng = self.seed_stream.rng_at(index)
-        self.rng = rng
-        if root is None:
-            root = self.roots.sample(rng)
-        return self._reverse_sample(int(root))
+        return self.sample_block([index], None if root is None else [root])[0]
 
     def sample(self, root: int | None = None) -> np.ndarray:
         """Generate the next stream set; a uniform/weighted random root
-        drawn from the set's own generator by default."""
+        drawn from the set's own key by default."""
         rr = self.sample_at(self._cursor, root)
         self._cursor += 1
         self.sets_generated += 1
@@ -205,17 +154,11 @@ class RRSampler(abc.ABC):
         if count <= 0:
             return []
         base = self._cursor
-        self.seed_stream.prepare(base, count)
         batch = self.sample_block(np.arange(base, base + count, dtype=np.int64))
         self._cursor = base + count
         self.sets_generated += count
         self.entries_generated += int(sum(rr.size for rr in batch))
         return batch
-
-    def _next_generation(self) -> int:
-        """Advance the visited-stamp generation (O(1) mark reset)."""
-        self._generation += 1
-        return self._generation
 
     # ------------------------------------------------------------------
     # Stream-position capture (pool spill / reattach / suffix truncation)
@@ -230,7 +173,6 @@ class RRSampler(abc.ABC):
         pool spilling and suffix truncation rely on.
         """
         return {
-            "kind": "seedpure",
             "stream_id": self.stream_id,
             "graph_version": int(self.graph_version),
             "cursor": int(self._cursor),
@@ -240,18 +182,14 @@ class RRSampler(abc.ABC):
 
     def load_state_dict(self, state: dict) -> None:
         """Restore a position captured by :meth:`state_dict`."""
-        kind = state.get("kind")
-        if kind != "seedpure":
+        got = state.get("stream_id")
+        if got != self.stream_id:
             raise SamplingError(
-                f"cannot restore a {kind!r} stream position: states of that "
-                "shape were captured by the legacy (seed, workers)-derived "
-                "streams, which are not byte-compatible with seed-pure "
-                "streams — legacy spills are read-only "
-                "(see repro.service.store.PoolStore.load_file)"
+                f"stream position was captured on stream {got!r}; this "
+                f"sampler produces {self.stream_id!r} — the streams are not "
+                "byte-compatible"
             )
-        check_stream_id(state, self.stream_id)
-        # Pre-dynamic-graphs states carry no graph_version: they were
-        # captured against a static snapshot, i.e. version 0.
+        # A state with no graph_version was captured on a static graph.
         state_version = int(state.get("graph_version", 0))
         if state_version != self.graph_version:
             raise SamplingError(
@@ -333,72 +271,3 @@ def make_sampler(
         graph_version=graph_version,
     )
 
-
-def resolve_kernel(
-    kernel: "str | SamplingKernel | None",
-    *,
-    graph: "CSRGraph | None" = None,
-    model: "str | DiffusionModel | None" = None,
-    seed=None,
-    roots: "UniformRoots | WeightedRoots | None" = None,
-    max_hops: int | None = None,
-    batch_width: int | None = None,
-) -> SamplingKernel:
-    """Resolve a kernel selection — including ``"auto"`` — to a kernel.
-
-    Anything but ``"auto"`` passes through :func:`make_kernel` (so this
-    is safe to call wherever a kernel name becomes provenance).
-    ``"auto"`` picks the fastest known kernel for the workload:
-
-    * **LT** always takes ``lt-batched`` — the walk is per-set
-      sequential, so the lockstep batch kernel strictly dominates.
-    * **IC** draws :data:`AUTO_PILOT_SETS` scalar pilot sets — a pure
-      function of ``(seed, graph, roots, max_hops)``, byte-identical on
-      every caller — and reads off two statistics: the mean RR size and
-      the mean *coin volume* (in-degree sum over the set's nodes, the
-      coins expanding the set flips).  Small sets
-      (``<=`` :data:`AUTO_SMALL_SET_MEAN`, the weighted-cascade regime)
-      with small coin volume (``<=`` :data:`AUTO_LANE_COIN_MEAN`) mean
-      per-set dispatch dominates: take ``batched``, unless the
-      lane engine cannot serve the workload (exotic root distribution,
-      ``n >= 2**32``) or the caller's ``batch_width`` is below 2 —
-      lockstep over one lane amortizes nothing — in which case plain
-      ``scalar`` wins.  Large sets — or small sets that expand
-      high-in-degree hubs, where the lane replica's per-coin cost
-      outweighs the dispatch it saves — take ``vectorized``, whose
-      frontier-at-once gathers already amortize dispatch within a set.
-
-    The resolution is deterministic, so every worker, every restart,
-    and every provenance record lands on the same concrete name —
-    ``"auto"`` itself never becomes a ``stream_id``.
-    """
-    if not (isinstance(kernel, str) and kernel.strip().lower() == AUTO_KERNEL):
-        return make_kernel(kernel)
-    if graph is None or model is None:
-        raise SamplingError(
-            "kernel='auto' resolves against a workload: a graph and a "
-            "diffusion model are required"
-        )
-    parsed = DiffusionModel.parse(model)
-    if parsed is DiffusionModel.LT:
-        return make_kernel("lt-batched")
-    from repro.sampling.kernels import _lane_roots_supported
-
-    pilot = make_sampler(
-        graph, parsed, seed, roots=roots, max_hops=max_hops, kernel="scalar"
-    )
-    in_degree = np.diff(graph.in_indptr)
-    entries = 0
-    coins = 0
-    for g in range(AUTO_PILOT_SETS):
-        rr = pilot.sample_at(g)
-        entries += int(rr.size)
-        coins += int(in_degree[rr].sum())
-    mean_size = entries / AUTO_PILOT_SETS
-    mean_coins = coins / AUTO_PILOT_SETS
-    if mean_size > AUTO_SMALL_SET_MEAN or mean_coins > AUTO_LANE_COIN_MEAN:
-        return make_kernel("vectorized")
-    lanes_usable = _lane_roots_supported(
-        roots if roots is not None else UniformRoots(graph.n)
-    ) and (batch_width is None or batch_width >= 2)
-    return make_kernel("batched" if lanes_usable else "scalar")

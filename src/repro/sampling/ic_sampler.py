@@ -4,20 +4,16 @@ An IC RR set anchored at root v is the set of nodes with a *live* reverse
 path to v, where each edge (u, w) is live independently with probability
 w(u, w).  Equivalently: run a reverse BFS from v, flipping one coin per
 incoming edge the first time its target is expanded (deferred-decision
-principle — coins for edges never reached need not be flipped).
-
-*How* that BFS executes — per-node coin batches (``scalar``) or one coin
-batch for the whole frontier per step (``vectorized``) — is the
-sampler's :mod:`~repro.sampling.kernels` kernel; the sampler itself only
-owns the RNG, the generation-stamp array, and the lifetime counters.
+principle — coins for edges never reached need not be flipped).  Each
+coin is a counter-based draw keyed on the set and the edge, so the BFS
+may visit edges in any order (:mod:`repro.sampling.kernels`).
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.diffusion.models import DiffusionModel
 from repro.sampling.base import RRSampler
+from repro.sampling.kernels import ic_sample_block
 
 
 class ICSampler(RRSampler):
@@ -25,8 +21,5 @@ class ICSampler(RRSampler):
 
     model = DiffusionModel.IC
 
-    def _reverse_sample(self, root: int) -> np.ndarray:
-        return self.kernel.ic_sample(self, root)
-
-    def _reverse_sample_block(self, indices, roots):
-        return self.kernel.ic_sample_block(self, indices, roots)
+    def _sample_keys(self, keys, roots):
+        return ic_sample_block(self, keys, roots)

@@ -1,99 +1,162 @@
-"""Pluggable reverse-sampling kernels: how RR sets get computed.
+"""The RR-set engine: lockstep IC and LT paths, plus the per-set reference.
 
 The paper's cost model is ``time = number of RR sets × cost per RR set``.
 The execution backends (:mod:`repro.sampling.backends`) attack the first
-factor by sharding sets across workers; a *kernel* attacks the second —
-it is the inner loop that turns roots into RR sets.  Four kernels ship:
+factor by sharding sets across workers; this module is the second — the
+inner loop that turns set keys into RR sets.
 
-* ``scalar`` — the reference implementation: reverse BFS expanding one
-  frontier node at a time, flipping one coin batch per node (the
-  library's historical draw order within a set).
-* ``vectorized`` — frontier-at-once expansion: each BFS step gathers the
-  in-adjacency slices of the *entire* frontier with CSR range arithmetic
-  (``np.repeat`` over degrees + a flat ``arange``), flips a single
-  ``rng.random(total_edges)`` coin batch, filters live edges against the
-  edge weights, and dedupes newly visited nodes against the
-  generation-stamp array — no Python inner loop anywhere.
-* ``batched`` — batch-at-once expansion: a whole block of sets (up to
-  :data:`~repro.sampling.vecrng.MAX_LANES` "lanes") runs its reverse
-  BFS in lockstep.  Frontier arrays carry a set-id *lane* column; each step
-  does a single CSR gather across every live set's frontier and flips
-  all lanes' coins in one vectorized multi-lane PCG64 pass
-  (:mod:`repro.sampling.vecrng`) — per-*set* dispatch cost (generator
-  derivation, Python/numpy call overhead) amortizes to near zero, which
-  is where weighted-cascade workloads (mean RR size ~6) spend their
-  time.  Per set, the draws and bytes are exactly the ``vectorized``
-  stream.
-* ``lt-batched`` — ``batched`` plus a lockstep LT kernel: a batch of
-  reverse random walks advances one hop per step for all still-walking
-  lanes, inverting per-node in-edge CDFs with one vectorized
-  ``searchsorted`` across lanes.  Per set, the walk draws exactly the
-  shared scalar-walk stream.
+Every random decision of set ``g`` is a counter-based draw keyed on
+``(seed, g)`` and on *what* is decided (:mod:`repro.sampling.seedstream`):
+the root, the coin of each in-edge ``u -> v`` (keyed on ``(u, v)``,
+never on a CSR position), each LT hop.  No draw depends on another, so
+set ``g``'s bytes do not depend on how it is computed, and every path
+here emits the same bytes:
 
-All kernels sample the *same distribution* over RR sets (each in-edge
-of an expanded node gets exactly one coin, by the deferred-decision
-principle), but they may consume the RNG in different orders, so their
-streams are **not** byte-compatible in general.  Every kernel therefore
-carries a ``stream_id`` (name + version); samplers stamp it into their
-``state_dict``, pools key on it, and the spill store refuses to reattach
-a pool onto a different stream.  Byte-identity guarantees — backend,
-batching, and worker-count invariance, warm-vs-cold equality — hold
-exactly *within* a stream_id; *across* kernels agreement is
-distributional and is verified statistically
-(``tests/sampling/test_kernels.py``).
+* an **IC** set is its root, then each reverse-BFS layer in ascending
+  node order (a layer is a BFS distance in the live-edge graph, cut at
+  ``max_hops``);
+* an **LT** set is its reverse walk, in walk order.
 
-**Batch-composition invariance.**  The batched kernels serve whole
-index blocks (:meth:`SamplingKernel.ic_sample_block`), but batching is
-a *throughput* property, never a stream property: lane ``g`` draws
-every coin from its own per-set SeedSequence child in a pinned
-per-step order, so set ``g``'s bytes are a pure function of the seed
-alone — identical at batch sizes 1, 7, or 64, under any neighbours,
-on any backend (``docs/INVARIANTS.md``; pinned by
-``tests/sampling/test_kernels.py``).  The multi-lane RNG self-verifies
-against numpy at construction and the kernels fall back to per-set
-sampling — same bytes, no fast path — if it ever disagrees.
+**Lockstep paths.**  :func:`ic_sample_block` and :func:`lt_sample_block`
+serve every block, in every cascade regime.  They run a chunk of sets
+("lanes") one BFS step or walk hop per numpy pass: frontier arrays
+carry a lane column, one CSR gather collects every lane's frontier
+in-edges, one vectorized hash flips all their coins, and a sorted
+``lane * n + node`` key set (:class:`_LaneVisited`) tracks visits.
+Per-set dispatch cost amortizes to near zero, which is where
+weighted-cascade workloads (mean RR size ~6) spend their time.  A chunk
+holds :data:`LOCKSTEP_COINS` divided by the sampler's running mean of
+coins per set lanes, so its temporaries stay bounded whatever the set
+size.
 
-``"auto"`` (:data:`AUTO_KERNEL`) is a *selection policy*, not a kernel:
-:func:`repro.sampling.base.resolve_kernel` resolves it against a graph
-and model (LT → ``lt-batched``; IC → ``batched`` or ``vectorized`` by
-observed mean RR size from a deterministic scalar pilot), and only the
-resolved name ever reaches streams, pools, or provenance.
+**Per-set reference.**  :func:`reference_block` computes sets one at a
+time — :func:`ic_sample_one` a node at a time, :func:`lt_sample_one` a
+hop at a time.  It is what the tests and the microbenchmark hold the
+lockstep paths to; the engine never calls it.
 
-The version component covers the whole stream derivation, not just the
-kernel's inner loop.  ``*-v1`` streams derived per-set RNGs from
-per-*worker* spawned generators (identity ``(seed, workers)``); ``*-v2``
-streams derive one SeedSequence child per RR set
-(:mod:`repro.sampling.seedstream`), making the stream a pure function of
-the seed alone.  v1 state blobs and spill stamps are therefore not
-restorable onto v2 samplers — a clean refusal / cache miss, never silent
-mixing; :data:`LEGACY_STREAM_ID` names what an unstamped legacy state
-means.
-
-Under the LT model an RR set is a reverse random walk — one node per
-step, nothing to batch — so both kernels share the walk implementation
-(their LT streams coincide); the ``stream_id`` still differs, which
-keeps pooling conservative and the contract simple.
+**Kernel names.**  ``scalar``, ``vectorized``, ``batched``,
+``lt-batched`` and ``auto`` are accepted for compatibility (``kernel=``,
+``--kernel``) and reported back, but select nothing.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from repro.exceptions import SamplingError
-from repro.sampling.roots import UniformRoots, WeightedRoots
-from repro.sampling.vecrng import MAX_LANES, LaneEngine
+from repro.sampling.seedstream import (
+    ROOT,
+    coin_thresholds,
+    counter_salts,
+    draw,
+    mix64,
+    top53,
+    uniforms,
+)
 
-_EMPTY_INT32 = np.zeros(0, dtype=np.int32)
+#: accepted ``kernel=`` / ``--kernel`` names; none selects anything.
+KERNEL_NAMES = ("scalar", "vectorized", "batched", "lt-batched", "auto")
+
+#: the name reported when a caller names no kernel.
+DEFAULT_KERNEL = "scalar"
+
+#: coins one lockstep chunk may flip, summed over its lanes: the chunk
+#: width is this over the running mean of coins per set.
+LOCKSTEP_COINS = 1 << 19
+
+#: lockstep width before the sampler has observed any set.
+FIRST_LANES = 64
+
+
+@dataclass(frozen=True)
+class SamplingKernel:
+    """A kernel name a caller gave: reported back, selects nothing."""
+
+    name: str
+
+
+KERNELS = {name: SamplingKernel(name) for name in KERNEL_NAMES}
+
+
+def make_kernel(kernel: "str | SamplingKernel | None" = None) -> SamplingKernel:
+    """Validate a kernel name (``None`` means :data:`DEFAULT_KERNEL`).
+
+    Unknown names are rejected, so a typo still fails loudly although
+    no name changes what is sampled.
+    """
+    if kernel is None:
+        kernel = DEFAULT_KERNEL
+    elif isinstance(kernel, SamplingKernel):
+        kernel = kernel.name
+    key = str(kernel).strip().lower()
+    if key not in KERNELS:
+        raise SamplingError(
+            f"unknown sampling kernel {kernel!r}; known: {list(KERNEL_NAMES)}"
+        )
+    return KERNELS[key]
+
+
+# ----------------------------------------------------------------------
+# Per-graph tables and per-set roots
+# ----------------------------------------------------------------------
+def _ic_tables(graph) -> tuple:
+    """Per in-edge coin salts (counter ``u * n + v``) and live
+    thresholds, in in-CSR order, built once per graph."""
+
+    def build(g):
+        targets = np.repeat(np.arange(g.n, dtype=np.uint64), np.diff(g.in_indptr))
+        counters = g.in_indices.astype(np.uint64) * np.uint64(g.n) + targets
+        return counter_salts(counters), coin_thresholds(g.in_weights)
+
+    return graph.derived("rr-ic-coins", build)
+
+
+def _lt_prefix(graph) -> np.ndarray:
+    """Graph-wide prefix sum of in-edge weights: node ``v``'s in-edge
+    CDF is its slice ``prefix[in_indptr[v] : in_indptr[v + 1] + 1]``."""
+    return graph.derived(
+        "rr-lt-prefix", lambda g: np.concatenate(([0.0], np.cumsum(g.in_weights)))
+    )
+
+
+def _roots(sampler, keys: np.ndarray, pinned) -> np.ndarray:
+    """Each set's root: ``pinned[i]`` where it is ``>= 0`` (the
+    backends' wire convention), else ``F(key, ROOT)`` mapped through the
+    root distribution."""
+    drawn = sampler.roots.pick(uniforms(mix64(keys + counter_salts(ROOT))))
+    if pinned is None:
+        return drawn
+    pinned = np.asarray(pinned, dtype=np.int64)
+    return np.where(pinned < 0, drawn, pinned)
+
+
+def _lanes(sampler) -> int:
+    """Chunk width from the running mean of coins per set."""
+    sets, coins = sampler._seen
+    if not sets:
+        return FIRST_LANES
+    return max(1, int(LOCKSTEP_COINS * sets / max(coins, 1)))
+
+
+def _chunked(sampler, step, keys, roots) -> "list[np.ndarray]":
+    """Run ``step`` over lane chunks, re-reading the width per chunk."""
+    out: list[np.ndarray] = []
+    start = 0
+    while start < keys.size:
+        stop = start + _lanes(sampler)
+        out.extend(step(sampler, keys[start:stop], roots[start:stop]))
+        start = stop
+    return out
 
 
 class _LaneVisited:
     """Visited set of a lockstep chunk: sorted ``lane * n + node`` keys.
 
-    RR sets in the batched kernels' target regime are small, so the
-    whole chunk's visited set stays tiny; a sorted key array gives
-    vectorized membership (one ``searchsorted``) and vectorized insert
-    (merge two sorted runs) with no per-lane bit budget — which is what
-    lets a chunk carry hundreds of lanes instead of 64.
+    A sorted key array gives vectorized membership (one
+    ``searchsorted``) and vectorized insert (merge two sorted runs) with
+    no per-lane memory budget, so a chunk can carry thousands of lanes.
     """
 
     __slots__ = ("keys",)
@@ -102,7 +165,7 @@ class _LaneVisited:
         self.keys = keys  # sorted, unique
 
     def seen(self, keys: np.ndarray) -> np.ndarray:
-        """Membership mask for (unique) candidate keys."""
+        """Membership mask for candidate keys."""
         acc = self.keys
         pos = np.minimum(np.searchsorted(acc, keys), acc.shape[0] - 1)
         return acc[pos] == keys
@@ -114,14 +177,9 @@ class _LaneVisited:
 
 
 def _sorted_unique(values: np.ndarray) -> np.ndarray:
-    """``np.unique`` minus its Python-level wrapper overhead.
-
-    The wc-regime hot path dedups a handful of candidates per BFS step;
-    profiling shows ``np.unique``'s dispatch layer (masked-array checks,
-    tuple packing) costing several times the actual sort at those sizes.
-    Same output — sorted, duplicates dropped — so streams are unchanged
-    (dedup consumes no RNG draws).
-    """
+    """``np.unique`` minus its Python-level wrapper overhead, which costs
+    several times the sort itself at the few-candidate sizes of the
+    weighted-cascade hot path."""
     if values.size <= 1:
         return values
     values = np.sort(values)
@@ -131,630 +189,183 @@ def _sorted_unique(values: np.ndarray) -> np.ndarray:
     return values[keep]
 
 
-def _per_set_block(sampler, indices, roots) -> "list[np.ndarray]":
-    """Reference batch semantics: one :meth:`sample_at` per index.
+def _assemble(lane_pieces, node_pieces, n_lanes) -> "list[np.ndarray]":
+    """Split step-ordered (lane, node) pieces into per-lane RR sets.
 
-    A negative root entry means "this set draws its own root" (the
-    backends' wire convention for unpinned sets in a pinned batch).
+    A stable sort by lane keeps step order within each lane: root
+    first, then each step's nodes in the order they were appended.
     """
-    if roots is None:
-        return [sampler.sample_at(int(g)) for g in indices]
-    out = []
-    for g, r in zip(indices, roots):
-        r = int(r)
-        out.append(
-            sampler.sample_at(int(g)) if r < 0 else sampler.sample_at(int(g), r)
+    all_lanes = np.concatenate(lane_pieces)
+    order = np.argsort(all_lanes, kind="stable")
+    nodes = np.concatenate(node_pieces)[order].astype(np.int32, copy=False)
+    counts = np.bincount(all_lanes, minlength=n_lanes)
+    return np.split(nodes, np.cumsum(counts[:-1]))
+
+
+def _hop_budget(sampler) -> int:
+    return -1 if sampler.max_hops is None else int(sampler.max_hops)
+
+
+def reference_block(sampler, indices, pinned=None) -> "list[np.ndarray]":
+    """:meth:`~repro.sampling.base.RRSampler.sample_block`'s sets, by the
+    per-set reference loops instead of the lockstep paths."""
+    keys = sampler.seed_stream.keys(indices)
+    one = lt_sample_one if sampler.model.value == "LT" else ic_sample_one
+    return [one(sampler, key, root) for key, root in zip(keys, _roots(sampler, keys, pinned))]
+
+
+# ----------------------------------------------------------------------
+# IC
+# ----------------------------------------------------------------------
+def ic_sample_block(sampler, keys: np.ndarray, pinned=None) -> "list[np.ndarray]":
+    """IC RR sets for a block of set keys (``pinned`` as in :func:`_roots`)."""
+    return _chunked(sampler, _ic_lockstep, keys, _roots(sampler, keys, pinned))
+
+
+def _ic_lockstep(sampler, keys, roots) -> "list[np.ndarray]":
+    graph = sampler.graph
+    n = graph.n
+    indptr, sources = graph.in_indptr, graph.in_indices
+    salts, thresholds = _ic_tables(graph)
+    lanes = np.arange(keys.size, dtype=np.int64)
+    # lane * n + root keys are strictly increasing in lane here.
+    visited = _LaneVisited(lanes * n + roots)
+    lane_pieces, node_pieces = [lanes], [roots]
+    f_nodes, f_lanes = roots, lanes
+    coins = 0
+    hops_left = _hop_budget(sampler)
+    while f_nodes.size and hops_left != 0:
+        hops_left -= 1
+        starts = indptr[f_nodes]
+        degs = indptr[f_nodes + 1] - starts
+        total = int(degs.sum())
+        if total == 0:
+            break  # every lane's frontier is in-edge-free
+        coins += total
+        # Flat CSR positions of every lane's frontier in-edges: node i's
+        # slice lands at [offsets[i], offsets[i+1]) of the gather.
+        positions = np.repeat(starts - (np.cumsum(degs) - degs), degs)
+        positions += np.arange(total, dtype=np.int64)
+        h = np.repeat(keys[f_lanes], degs)
+        h += salts[positions]
+        live = top53(mix64(h)) < thresholds[positions]
+        # Unique (lane, node) keys, sorted: lane-major, each lane's new
+        # layer ascending.
+        fresh = _sorted_unique(
+            np.repeat(f_lanes, degs)[live] * n + sources[positions[live]]
         )
-    return out
-
-
-def _lane_roots_supported(roots) -> bool:
-    """Can the lane engine replicate this root distribution's draws?
-
-    Exact-type checks: a subclass may override ``sample``, and the
-    engine replicates the base implementations bit for bit — anything
-    else falls back to per-set sampling (same bytes, no fast path).
-    The uniform cap is the engine's 32-bit Lemire range.
-    """
-    if type(roots) is UniformRoots:
-        return roots.n <= 0xFFFFFFFF
-    return type(roots) is WeightedRoots
-
-
-def _lane_roots(engine, state, roots, pinned) -> np.ndarray:
-    """Per-lane root column: pinned where given, else each lane draws
-    its own root from its own generator (replicating ``roots.sample``)."""
-    if pinned is None:
-        return _draw_lane_roots(engine, state, roots, None)
-    pinned = np.asarray(pinned, dtype=np.int64)
-    unpinned = np.flatnonzero(pinned < 0)
-    out = pinned.copy()
-    if unpinned.size:
-        out[unpinned] = _draw_lane_roots(engine, state, roots, unpinned)
-    return out
-
-
-def _draw_lane_roots(engine, state, roots, lanes) -> np.ndarray:
-    if type(roots) is UniformRoots:
-        if roots.n == 1:  # numpy's integers(1) draws nothing
-            k = len(state) if lanes is None else lanes.shape[0]
-            return np.zeros(k, dtype=np.int64)
-        return engine.draw_uniform_roots(state, roots.n, lanes)
-    return engine.draw_weighted_roots(state, roots._cumulative, roots._total, lanes)
-
-
-def _lt_walk_tables(sampler) -> tuple:
-    """Per-node LT walk tables, built once per sampler and cached.
-
-    ``views[v]`` is node ``v``'s slice of the graph-wide weight prefix
-    (``prefix[lo : hi + 1]``, a view — no copy), ``neighbours`` /
-    ``totals`` / ``starts`` are plain Python lists so the hot loop never
-    pays numpy scalar-indexing overhead.  Keyed in ``sampler._scratch``,
-    which graph rebinds invalidate along with every other graph-shaped
-    buffer.
-    """
-    tables = sampler._scratch.get("lt_walk_tables")
-    if tables is None:
-        graph = sampler.graph
-        prefix = sampler._weight_prefix
-        bounds = graph.in_indptr.tolist()
-        views = [
-            prefix[lo : hi + 1] for lo, hi in zip(bounds[:-1], bounds[1:])
-        ]
-        tables = (
-            views,
-            graph.in_indices.tolist(),
-            graph.in_weight_totals.tolist(),
-            bounds,
-        )
-        sampler._scratch["lt_walk_tables"] = tables
-    return tables
-
-
-class SamplingKernel:
-    """One reverse-sampling strategy, shared stateless across samplers.
-
-    A kernel owns no RNG and no scratch memory — it operates on the
-    sampler handed to it (its graph, its generation-stamp array, its
-    generator), so one registered instance serves every sampler in the
-    process.  ``ic_sample`` must implement IC reverse BFS;
-    :meth:`lt_sample` defaults to the shared LT reverse walk.
-    """
-
-    #: registry / CLI name, overridden by implementations.
-    name = "abstract"
-    #: bumped whenever the stream changes — the kernel's RNG draw order
-    #: *or* the library-wide seed derivation (v2 = seed-pure per-set
-    #: SeedSequence children; v1 = legacy per-worker spawned streams).
-    version = 2
-
-    @property
-    def stream_id(self) -> str:
-        """Stream-compatibility token: two samplers interoperate (pool
-        sharing, spill reattach, state restore) iff their ``stream_id``
-        matches."""
-        return f"{self.name}-v{self.version}"
-
-    def ic_sample(self, sampler, root: int) -> np.ndarray:
-        """Produce the IC RR set anchored at ``root`` (includes the root)."""
-        raise NotImplementedError
-
-    def ic_sample_block(self, sampler, indices, roots=None) -> "list[np.ndarray]":
-        """IC RR sets for a batch of global stream indices.
-
-        The batch-level hook the backends dispatch through.  Entry ``i``
-        must be byte-identical to ``sampler.sample_at(indices[i])`` —
-        batching is a throughput property, not a stream property (batch-
-        composition invariance, ``docs/INVARIANTS.md``).  ``roots[i] >=
-        0`` pins set ``i``'s root; negative or absent means the set
-        draws its own.  The default is the per-set reference loop;
-        batched kernels override it with a lockstep fast path.
-        """
-        return _per_set_block(sampler, indices, roots)
-
-    def lt_sample_block(self, sampler, indices, roots=None) -> "list[np.ndarray]":
-        """LT counterpart of :meth:`ic_sample_block` (same contract)."""
-        return _per_set_block(sampler, indices, roots)
-
-    def lt_sample(self, sampler, root: int) -> np.ndarray:
-        """Produce the LT RR set anchored at ``root``: the reverse walk.
-
-        The walk draws one uniform per hop (stop with the residual
-        probability, else hop to an in-neighbour by inverse-CDF over the
-        prefix-summed edge weights) and stops on a revisit.  Sequential
-        by nature, so every kernel shares this implementation.
-
-        The hop body works on per-node tables built once per sampler
-        (:func:`_lt_walk_tables`): CDF inversion searches the node's own
-        prefix *slice* (a view — same floats, same ``side="right"``
-        result as searching the graph-wide prefix and clipping, since
-        the prefix is non-decreasing and the target lands inside the
-        node's range), and neighbour/total lookups are plain-list reads
-        instead of per-hop numpy scalar indexing.  Draw count and draw
-        order are unchanged, so the stream is byte-identical to the
-        historical implementation.
-        """
-        stamp = sampler._visited_stamp
-        gen = sampler._next_generation()
-        rng = sampler.rng
-        views, neighbours, totals, starts = _lt_walk_tables(sampler)
-
-        current = root
-        stamp[root] = gen
-        result = [root]
-        random = rng.random
-        hops_left = sampler.max_hops if sampler.max_hops is not None else -1
-        while hops_left != 0:
-            hops_left -= 1
-            view = views[current]
-            deg = view.shape[0] - 1
-            if deg == 0:
-                break
-            draw = random()
-            if draw >= totals[current]:
-                break  # the kept subgraph has no incoming edge here
-            # Invert the CDF of this node's in-edge weights on its slice.
-            j = view.searchsorted(view[0] + draw, side="right") - 1
-            if j < 0:
-                j = 0
-            elif j >= deg:
-                j = deg - 1
-            nxt = neighbours[starts[current] + j]
-            if stamp[nxt] == gen:
-                break  # walk closed a cycle; nothing new reachable
-            stamp[nxt] = gen
-            result.append(nxt)
-            current = nxt
-        return np.asarray(result, dtype=np.int32)
-
-
-class ScalarKernel(SamplingKernel):
-    """Reference kernel: per-node frontier expansion.
-
-    One ``rng.random(deg)`` coin batch per expanded node, in frontier
-    order — the draw order the library has always used *within* one RR
-    set.  Stamping and result growth are numpy mask operations (no
-    per-element Python loop), which changes nothing about the stream.
-    """
-
-    name = "scalar"
-    version = 2
-
-    def ic_sample(self, sampler, root: int) -> np.ndarray:
-        graph = sampler.graph
-        stamp = sampler._visited_stamp
-        gen = sampler._next_generation()
-        rng = sampler.rng
-
-        indptr = graph.in_indptr
-        indices = graph.in_indices
-        weights = graph.in_weights
-        hops_left = sampler.max_hops if sampler.max_hops is not None else -1
-
-        stamp[root] = gen
-        pieces = [np.asarray([root], dtype=np.int32)]
-        frontier = pieces[0]
-        while frontier.size:
-            if hops_left == 0:
-                break
-            hops_left -= 1
-            step_pieces = []
-            for v in frontier:
-                lo, hi = indptr[v], indptr[v + 1]
-                if lo == hi:
-                    continue
-                coins = rng.random(hi - lo)
-                live = indices[lo:hi][coins < weights[lo:hi]]
-                fresh = live[stamp[live] != gen]
-                if fresh.size:
-                    stamp[fresh] = gen
-                    step_pieces.append(fresh)
-            frontier = (
-                np.concatenate(step_pieces) if step_pieces else _EMPTY_INT32
-            )
-            if frontier.size:
-                pieces.append(frontier)
-        return np.concatenate(pieces) if len(pieces) > 1 else pieces[0]
-
-
-class VectorizedKernel(SamplingKernel):
-    """Frontier-at-once kernel: one coin batch per BFS *step*.
-
-    Each step gathers every frontier node's in-edge slice from the CSR
-    arrays in one shot: with per-node degrees ``deg = indptr[f+1] -
-    indptr[f]``, the flat edge positions are ``np.arange(deg.sum()) +
-    np.repeat(starts - cumulative_offsets, deg)`` — pure range
-    arithmetic, no loop.  A single ``rng.random(total_edges)`` batch
-    decides liveness against ``in_weights``, and the surviving endpoints
-    are deduped against the generation-stamp array (``np.unique`` for
-    batch-internal repeats, a stamp mask for earlier generations).
-
-    Per-edge work is identical to the scalar kernel — every in-edge of
-    an expanded node flips exactly one coin — so the RR-set distribution
-    is unchanged; only the RNG draw *order* (and the within-step node
-    order, which is sorted) differs, hence the distinct ``stream_id``.
-
-    Size-adaptive shortcuts keep small cascades cheap without touching
-    the stream: tiny frontiers gather per node (numpy's
-    ``Generator.random`` draws doubles sequentially with no buffering,
-    so per-node coin batches consume byte-for-byte the same draws as one
-    step-wide batch — ``tests/sampling/test_kernels.py`` pins this
-    batch-split invariance), and batch dedup switches from a raw
-    sort-and-mask pass (:func:`_sorted_unique` — ``np.unique`` without
-    its wrapper overhead) to a reusable node-flag array once the
-    candidate batch is large enough for O(E log E) sorting to lose to
-    O(n) flag scans.
-    Either way each step's output is the same sorted fresh-node array,
-    so the stream is a pure function of the seed alone.
-    """
-
-    name = "vectorized"
-    version = 2
-
-    #: frontier size up to which per-node CSR slicing beats the gather.
-    _PER_NODE_MAX = 4
-    #: candidate-batch size above which flag-array dedup beats sorting.
-    _FLAG_DEDUP_MIN = 64
-
-    def ic_sample(self, sampler, root: int) -> np.ndarray:
-        graph = sampler.graph
-        stamp = sampler._visited_stamp
-        gen = sampler._next_generation()
-        rng = sampler.rng
-
-        indptr = graph.in_indptr
-        indices = graph.in_indices
-        weights = graph.in_weights
-        hops_left = sampler.max_hops if sampler.max_hops is not None else -1
-        flags = sampler._scratch.get("vectorized_flags")
-
-        stamp[root] = gen
-        pieces = [np.asarray([root], dtype=np.int32)]
-        frontier = pieces[0]
-        while frontier.size:
-            if hops_left == 0:
-                break
-            hops_left -= 1
-            if frontier.size == 1:
-                # One-node frontier: its slice *is* the gathered range.
-                lo, hi = indptr[frontier[0]], indptr[frontier[0] + 1]
-                if lo == hi:
-                    break
-                coins = rng.random(hi - lo)
-                candidates = indices[lo:hi][coins < weights[lo:hi]]
-            elif frontier.size <= self._PER_NODE_MAX:
-                # Tiny frontier: per-node slices, same draws as the batch
-                # (batch-split invariance of Generator.random).
-                parts = []
-                for v in frontier:
-                    lo, hi = indptr[v], indptr[v + 1]
-                    if lo == hi:
-                        continue
-                    coins = rng.random(hi - lo)
-                    sel = indices[lo:hi][coins < weights[lo:hi]]
-                    if sel.size:
-                        parts.append(sel)
-                candidates = (
-                    np.concatenate(parts) if len(parts) > 1
-                    else parts[0] if parts else _EMPTY_INT32
-                )
-            else:
-                starts = indptr[frontier]
-                degs = indptr[frontier + 1] - starts
-                total = int(degs.sum())
-                if total == 0:
-                    break
-                # Flat positions of every frontier in-edge: node i's slice
-                # lands at [offsets[i], offsets[i+1]) of the gathered
-                # range, and position j inside the range maps back to
-                # starts[i] + (j - offsets[i]).
-                offsets = np.cumsum(degs) - degs
-                positions = np.arange(total, dtype=np.int64) + np.repeat(
-                    starts - offsets, degs
-                )
-                coins = rng.random(total)
-                live = positions[coins < weights[positions]]
-                candidates = indices[live]
-            if candidates.size == 0:
-                break
-            # Dedup batch-internal repeats and drop already-visited nodes —
-            # numpy only, output sorted either way.
-            if candidates.size > self._FLAG_DEDUP_MIN:
-                if flags is None:
-                    flags = np.zeros(graph.n, dtype=bool)
-                    sampler._scratch["vectorized_flags"] = flags
-                flags[candidates] = True
-                fresh = np.flatnonzero(flags).astype(np.int32, copy=False)
-                flags[fresh] = False
-            else:
-                fresh = _sorted_unique(candidates)
-            fresh = fresh[stamp[fresh] != gen]
-            if fresh.size == 0:
-                break
-            stamp[fresh] = gen
-            pieces.append(fresh)
-            frontier = fresh
-        return np.concatenate(pieces) if len(pieces) > 1 else pieces[0]
-
-
-class BatchedKernel(VectorizedKernel):
-    """Batch-at-once IC kernel: a root batch's BFS runs in lockstep.
-
-    :meth:`ic_sample_block` expands the frontiers of up to
-    :data:`~repro.sampling.vecrng.MAX_LANES` sets ("lanes") per step:
-    frontier arrays carry a lane column, one CSR gather (``np.repeat``
-    over degrees + a flat ``arange``) collects *every* lane's frontier
-    in-edges, and one multi-lane PCG64 pass flips all their coins —
-    lane ``g``'s coins come from its own per-set child generator via
-    closed-form LCG jumps (:class:`repro.sampling.vecrng.LaneEngine`),
-    in exactly the per-set ``vectorized`` draw order.  Visited marks
-    and cross-step dedup live in a sorted ``(lane, node)`` key set
-    (:class:`_LaneVisited`), and within-step dedup sorts the same keys,
-    so each lane's frontier stays the sorted fresh-node array the
-    per-set kernel produces.  Per-set sampling (:meth:`ic_sample`,
-    inherited) *is* the vectorized kernel; the block path emits the
-    same bytes, so batch composition is unobservable — only throughput
-    changes.  Distinct ``stream_id`` all the same: conservative
-    pooling, simple contract.
-    """
-
-    name = "batched"
-    version = 2
-
-    def ic_sample_block(self, sampler, indices, roots=None) -> "list[np.ndarray]":
-        engine = LaneEngine.for_sampler(sampler)
-        if not engine.ok or not _lane_roots_supported(sampler.roots):
-            return _per_set_block(sampler, indices, roots)
-        indices = np.asarray(indices, dtype=np.int64)
-        pinned = None if roots is None else np.asarray(roots, dtype=np.int64)
-        out: list[np.ndarray] = []
-        for s in range(0, indices.shape[0], MAX_LANES):
-            out.extend(
-                self._ic_lockstep(
-                    sampler,
-                    engine,
-                    indices[s : s + MAX_LANES],
-                    None if pinned is None else pinned[s : s + MAX_LANES],
-                )
-            )
-        return out
-
-    @staticmethod
-    def _assemble(lane_pieces, node_pieces, n_lanes) -> "list[np.ndarray]":
-        """Split step-ordered (lane, node) pieces into per-lane RR sets.
-
-        A stable sort by lane preserves step order within each lane —
-        root first, then each step's sorted fresh nodes — exactly the
-        per-set kernel's concatenation order.
-        """
-        all_lanes = np.concatenate(lane_pieces)
-        all_nodes = np.concatenate(node_pieces)
-        order = np.argsort(all_lanes, kind="stable")
-        sorted_nodes = all_nodes[order].astype(np.int32, copy=False)
-        counts = np.bincount(all_lanes, minlength=n_lanes)
-        return np.split(sorted_nodes, np.cumsum(counts[:-1]))
-
-    def _ic_lockstep(self, sampler, engine, idx, pinned) -> "list[np.ndarray]":
-        graph = sampler.graph
-        n = graph.n
-        indptr = graph.in_indptr
-        neighbours = graph.in_indices
-        weights = graph.in_weights
-        n_lanes = idx.shape[0]
-
-        state = engine.seed_lanes(idx)
-        root_nodes = _lane_roots(engine, state, sampler.roots, pinned)
-        lanes0 = np.arange(n_lanes, dtype=np.int64)
-        # lane * n + node keys are strictly increasing in lane here.
-        visited = _LaneVisited(lanes0 * n + root_nodes)
-
-        lane_pieces = [lanes0]
-        node_pieces = [root_nodes]
-        f_nodes, f_lanes = root_nodes, lanes0
-        hops_left = sampler.max_hops if sampler.max_hops is not None else -1
-        while f_nodes.size and hops_left != 0:
-            hops_left -= 1
-            starts = indptr[f_nodes].astype(np.int64, copy=False)
-            degs = indptr[f_nodes + 1].astype(np.int64, copy=False) - starts
-            total = int(degs.sum())
-            if total == 0:
-                break  # every lane's frontier is in-edge-free: all dead
-            # One gather across all lanes' frontiers: flat edge positions
-            # by CSR range arithmetic, lane of each edge by repeat.
-            offsets = np.cumsum(degs) - degs
-            positions = np.repeat(starts - offsets, degs)
-            positions += np.arange(total, dtype=np.int64)
-            edge_lanes = np.repeat(f_lanes, degs)
-            # Frontiers are lane-major, so each lane's edges are
-            # contiguous and in its own per-set draw order.
-            lane_counts = np.bincount(f_lanes, weights=degs, minlength=n_lanes)
-            coins = engine.fill_doubles(state, edge_lanes, lane_counts.astype(np.int64))
-            alive = coins < weights[positions]
-            cand_nodes = neighbours[positions[alive]].astype(np.int64, copy=False)
-            cand_lanes = edge_lanes[alive]
-            if cand_nodes.size == 0:
-                break
-            # Batch-internal dedup per lane: unique (lane, node) keys,
-            # sorted — lane-major, node-sorted within a lane, matching
-            # the per-set kernel's sorted fresh array — then the chunk
-            # visited-set filter.
-            uniq = _sorted_unique(cand_lanes * n + cand_nodes)
-            uniq = uniq[~visited.seen(uniq)]
-            if uniq.size == 0:
-                break
-            visited.add(uniq)
-            u_lanes = uniq // n
-            u_nodes = uniq - u_lanes * n
-            lane_pieces.append(u_lanes)
-            node_pieces.append(u_nodes)
-            f_nodes, f_lanes = u_nodes, u_lanes
-        return self._assemble(lane_pieces, node_pieces, n_lanes)
-
-
-class LTBatchedKernel(BatchedKernel):
-    """Lockstep LT kernel: a batch of reverse walks, one hop per step.
-
-    Adds :meth:`lt_sample_block` on top of the batched IC kernel: all
-    still-walking lanes advance together — one multi-lane draw, one
-    vectorized ``searchsorted`` over the graph-wide weight prefix (the
-    same floats, hence the same hop, as the per-node slice search the
-    scalar walk uses), one sorted-key revisit check.  Per lane the
-    draws and stops replicate the shared scalar walk exactly, so each
-    set's bytes equal :meth:`~SamplingKernel.lt_sample`'s — batch
-    composition stays unobservable.
-    """
-
-    name = "lt-batched"
-    version = 2
-
-    def lt_sample_block(self, sampler, indices, roots=None) -> "list[np.ndarray]":
-        engine = LaneEngine.for_sampler(sampler)
-        if not engine.ok or not _lane_roots_supported(sampler.roots):
-            return _per_set_block(sampler, indices, roots)
-        indices = np.asarray(indices, dtype=np.int64)
-        pinned = None if roots is None else np.asarray(roots, dtype=np.int64)
-        out: list[np.ndarray] = []
-        for s in range(0, indices.shape[0], MAX_LANES):
-            out.extend(
-                self._lt_lockstep(
-                    sampler,
-                    engine,
-                    indices[s : s + MAX_LANES],
-                    None if pinned is None else pinned[s : s + MAX_LANES],
-                )
-            )
-        return out
-
-    def _lt_lockstep(self, sampler, engine, idx, pinned) -> "list[np.ndarray]":
-        graph = sampler.graph
-        n = graph.n
-        indptr = graph.in_indptr
-        neighbours = graph.in_indices
-        totals = graph.in_weight_totals
-        prefix = sampler._weight_prefix
-        n_lanes = idx.shape[0]
-
-        state = engine.seed_lanes(idx)
-        root_nodes = _lane_roots(engine, state, sampler.roots, pinned)
-        lanes0 = np.arange(n_lanes, dtype=np.int64)
-        visited = _LaneVisited(lanes0 * n + root_nodes)
-
-        lane_pieces = [lanes0]
-        node_pieces = [root_nodes]
-        cursor = root_nodes.copy()  # lane -> current walk node
-        walking = lanes0
-        hops_left = sampler.max_hops if sampler.max_hops is not None else -1
-        while walking.size and hops_left != 0:
-            hops_left -= 1
-            nodes = cursor[walking]
-            lo = indptr[nodes].astype(np.int64, copy=False)
-            hi = indptr[nodes + 1].astype(np.int64, copy=False)
-            has_edges = lo < hi
-            if not has_edges.all():
-                # In-edge-free nodes end their walks *before* drawing.
-                walking = walking[has_edges]
-                lo = lo[has_edges]
-                hi = hi[has_edges]
-                if walking.size == 0:
-                    break
-            draws = engine.one_double(state, walking)
-            kept = draws < totals[cursor[walking]]
-            if not kept.all():
-                # Residual mass: those lanes' draws are consumed, walk over.
-                walking = walking[kept]
-                lo = lo[kept]
-                hi = hi[kept]
-                draws = draws[kept]
-                if walking.size == 0:
-                    break
-            # Invert each walk node's in-edge CDF — one searchsorted over
-            # the shared prefix for all lanes, clipped into each node's
-            # range (same hop as the per-node slice search).
-            pos = np.searchsorted(prefix, prefix[lo] + draws, side="right") - 1
-            np.clip(pos, lo, hi - 1, out=pos)
-            nxt = neighbours[pos].astype(np.int64, copy=False)
-            # `walking` is strictly increasing, so these keys are sorted.
-            keys = walking * n + nxt
-            revisit = visited.seen(keys)
-            if revisit.any():
-                fresh = ~revisit
-                walking = walking[fresh]
-                nxt = nxt[fresh]
-                keys = keys[fresh]
-                if walking.size == 0:
-                    break
-            visited.add(keys)
-            lane_pieces.append(walking)
-            node_pieces.append(nxt)
-            cursor[walking] = nxt
-        return self._assemble(lane_pieces, node_pieces, n_lanes)
-
-
-#: registry keyed by CLI / API name.
-KERNELS: dict[str, SamplingKernel] = {
-    ScalarKernel.name: ScalarKernel(),
-    VectorizedKernel.name: VectorizedKernel(),
-    BatchedKernel.name: BatchedKernel(),
-    LTBatchedKernel.name: LTBatchedKernel(),
-}
-
-#: the historical draw order — the default everywhere a kernel is not named.
-DEFAULT_KERNEL = ScalarKernel.name
-
-#: selection-policy token: not a kernel, resolved against a graph and
-#: model by :func:`repro.sampling.base.resolve_kernel` before anything
-#: stream-identity-bearing (pools, spills, provenance) sees a name.
-AUTO_KERNEL = "auto"
-
-#: stream token of the default kernel at the current derivation version.
-DEFAULT_STREAM_ID = KERNELS[DEFAULT_KERNEL].stream_id
-
-#: what an *unstamped* legacy state/spill means: the scalar draw order
-#: under the v1 (per-worker spawned) derivation.  Not restorable onto
-#: current samplers — kept so mismatches are named, not mysterious.
-LEGACY_STREAM_ID = "scalar-v1"
-
-
-def make_kernel(kernel: "str | SamplingKernel | None") -> SamplingKernel:
-    """Coerce a kernel name (or pass through an instance) to a kernel.
-
-    ``None`` means the default (:class:`ScalarKernel`) — the stream the
-    library produced before kernels existed.
-    """
-    if kernel is None:
-        return KERNELS[DEFAULT_KERNEL]
-    if isinstance(kernel, SamplingKernel):
-        return kernel
-    key = str(kernel).strip().lower()
-    if key == AUTO_KERNEL:
-        raise SamplingError(
-            "kernel 'auto' is a selection policy, not a stream identity; "
-            "resolve it against a graph and model first "
-            "(repro.sampling.base.resolve_kernel)"
-        )
-    if key not in KERNELS:
-        raise SamplingError(
-            f"unknown sampling kernel {kernel!r}; known: {sorted(KERNELS)}"
-        )
-    return KERNELS[key]
-
-
-def list_kernels() -> tuple:
-    """Registered kernel names in registration order."""
-    return tuple(KERNELS)
-
-
-def check_stream_id(state: dict, expected: str) -> None:
-    """Reject restoring a stream position onto a different stream.
-
-    States captured before kernels existed carry no ``stream_id``; they
-    were produced by the historical scalar draw order under the legacy
-    v1 derivation, so a missing field means :data:`LEGACY_STREAM_ID`.
-    """
-    got = state.get("stream_id", LEGACY_STREAM_ID)
-    if got != expected:
-        raise SamplingError(
-            f"stream position was captured on stream {got!r}; this "
-            f"sampler produces {expected!r} — the streams are not "
-            "byte-compatible"
-        )
+        fresh = fresh[~visited.seen(fresh)]
+        if fresh.size == 0:
+            break
+        visited.add(fresh)
+        f_lanes = fresh // n
+        f_nodes = fresh - f_lanes * n
+        lane_pieces.append(f_lanes)
+        node_pieces.append(f_nodes)
+    sampler._seen[0] += keys.size
+    sampler._seen[1] += coins
+    return _assemble(lane_pieces, node_pieces, keys.size)
+
+
+def ic_sample_one(sampler, key, root: int) -> np.ndarray:
+    """One IC set by a node-at-a-time reverse BFS: the per-set reference."""
+    graph = sampler.graph
+    indptr, sources = graph.in_indptr, graph.in_indices
+    salts, thresholds = _ic_tables(graph)
+    key = np.uint64(key)
+    visited = np.zeros(graph.n, dtype=bool)
+    visited[root] = True
+    pieces = [np.asarray([root], dtype=np.int32)]
+    hops_left = _hop_budget(sampler)
+    while hops_left != 0:
+        hops_left -= 1
+        parts = []
+        for v in pieces[-1]:
+            lo, hi = indptr[v], indptr[v + 1]
+            h = salts[lo:hi] + key
+            parts.append(sources[lo:hi][top53(mix64(h)) < thresholds[lo:hi]])
+        fresh = np.unique(np.concatenate(parts))
+        fresh = fresh[~visited[fresh]]
+        if fresh.size == 0:
+            break
+        visited[fresh] = True
+        pieces.append(fresh)
+    return np.concatenate(pieces)
+
+
+# ----------------------------------------------------------------------
+# LT
+# ----------------------------------------------------------------------
+def lt_sample_block(sampler, keys: np.ndarray, pinned=None) -> "list[np.ndarray]":
+    """LT RR sets for a block of set keys (``pinned`` as in :func:`_roots`)."""
+    return _chunked(sampler, _lt_lockstep, keys, _roots(sampler, keys, pinned))
+
+
+def _lt_lockstep(sampler, keys, roots) -> "list[np.ndarray]":
+    graph = sampler.graph
+    n = graph.n
+    indptr, sources, totals = graph.in_indptr, graph.in_indices, graph.in_weight_totals
+    prefix = _lt_prefix(graph)
+    lanes = np.arange(keys.size, dtype=np.int64)
+    visited = _LaneVisited(lanes * n + roots)
+    lane_pieces, node_pieces = [lanes], [roots]
+    cursor = roots.copy()  # lane -> current walk node
+    walking = lanes
+    hop = coins = 0
+    hops_left = _hop_budget(sampler)
+    while walking.size and hops_left != 0:
+        hops_left -= 1
+        nodes = cursor[walking]
+        # Hop t of every lane is F(key, t): one salt for the whole step.
+        u = uniforms(mix64(keys[walking] + counter_salts(hop)))
+        hop += 1
+        coins += walking.size
+        # Stop with the residual probability; an in-edge-free node has
+        # total 0, so its walk stops here too.
+        kept = u < totals[nodes]
+        walking, nodes, u = walking[kept], nodes[kept], u[kept]
+        if walking.size == 0:
+            break
+        # Invert each node's in-edge CDF: one searchsorted over the
+        # shared prefix, clipped into the node's own range.
+        lo, hi = indptr[nodes], indptr[nodes + 1]
+        pos = np.searchsorted(prefix, prefix[lo] + u, side="right") - 1
+        np.clip(pos, lo, hi - 1, out=pos)
+        nxt = sources[pos].astype(np.int64)
+        # `walking` is strictly increasing, so these keys are sorted.
+        step_keys = walking * n + nxt
+        fresh = ~visited.seen(step_keys)  # a revisit closes the walk
+        walking, nxt, step_keys = walking[fresh], nxt[fresh], step_keys[fresh]
+        if walking.size == 0:
+            break
+        visited.add(step_keys)
+        lane_pieces.append(walking)
+        node_pieces.append(nxt)
+        cursor[walking] = nxt
+    sampler._seen[0] += keys.size
+    sampler._seen[1] += coins
+    return _assemble(lane_pieces, node_pieces, keys.size)
+
+
+def lt_sample_one(sampler, key, root: int) -> np.ndarray:
+    """One LT set, hop by hop: the per-set reference walk."""
+    graph = sampler.graph
+    indptr, sources, totals = graph.in_indptr, graph.in_indices, graph.in_weight_totals
+    prefix = _lt_prefix(graph)
+    walk = [int(root)]
+    hop = 0
+    hops_left = _hop_budget(sampler)
+    while hops_left != 0:
+        hops_left -= 1
+        node = walk[-1]
+        u = (draw(int(key), hop) >> 11) * 2.0**-53
+        hop += 1
+        if u >= totals[node]:
+            break
+        lo, hi = int(indptr[node]), int(indptr[node + 1])
+        pos = int(np.searchsorted(prefix, prefix[lo] + u, side="right")) - 1
+        nxt = int(sources[min(max(pos, lo), hi - 1)])
+        if nxt in walk:
+            break
+        walk.append(nxt)
+    return np.asarray(walk, dtype=np.int32)

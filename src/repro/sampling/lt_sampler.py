@@ -10,23 +10,16 @@ subgraph is a function, so the walk enters a cycle and nothing new can be
 reached).
 
 With weighted-cascade weights (Σ = 1) the walk always hops until a revisit
-— matching Fig. 1's example construction.
-
-The walk is one node per step — sequential *within* a set — so every
-registered :mod:`~repro.sampling.kernels` kernel shares the same per-set
-walk; the ``lt-batched`` kernel additionally advances a whole batch of
-walks in lockstep (batch-parallel, byte-identical per set).  The sampler
-dispatches through its kernel either way so the stream identity
-(``stream_id``) is uniform across models.
+— matching Fig. 1's example construction.  Hop ``t`` of set ``g`` is a
+counter-based draw keyed on ``(g, t)``, so a block of walks advances in
+lockstep (:mod:`repro.sampling.kernels`).
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.diffusion.models import DiffusionModel
 from repro.sampling.base import RRSampler
-from repro.graph.digraph import CSRGraph
+from repro.sampling.kernels import lt_sample_block
 
 
 class LTSampler(RRSampler):
@@ -34,29 +27,5 @@ class LTSampler(RRSampler):
 
     model = DiffusionModel.LT
 
-    def __init__(
-        self,
-        graph: CSRGraph,
-        seed=None,
-        *,
-        roots=None,
-        max_hops=None,
-        kernel=None,
-        graph_version: int = 0,
-    ) -> None:
-        super().__init__(
-            graph, seed, roots=roots, max_hops=max_hops, kernel=kernel,
-            graph_version=graph_version,
-        )
-        # Global prefix-sum of in-edge weights: a single binary search per
-        # hop finds the chosen in-neighbour (in-edges of v occupy the
-        # contiguous range [in_indptr[v], in_indptr[v+1])).
-        self._weight_prefix = np.concatenate(
-            ([0.0], np.cumsum(graph.in_weights))
-        )
-
-    def _reverse_sample(self, root: int) -> np.ndarray:
-        return self.kernel.lt_sample(self, root)
-
-    def _reverse_sample_block(self, indices, roots):
-        return self.kernel.lt_sample_block(self, indices, roots)
+    def _sample_keys(self, keys, roots):
+        return lt_sample_block(self, keys, roots)

@@ -4,6 +4,10 @@ Plain RIS draws the RR-set source uniformly from V (Definition 2).  The
 TVM extension (Section 7.3) uses **WRIS**: the source is drawn
 proportionally to per-node benefit weights, which makes the coverage
 estimator unbiased for the *weighted* influence objective.
+
+RR samplers draw roots through :meth:`pick`, which maps each set's
+counter-based root uniform to a node; any root distribution a sampler
+is given must provide it.
 """
 
 from __future__ import annotations
@@ -22,13 +26,9 @@ class UniformRoots:
             raise SamplingError(f"cannot sample roots from an empty graph (n={n})")
         self.n = int(n)
 
-    def sample(self, rng: np.random.Generator) -> int:
-        """Draw one root uniformly."""
-        return int(rng.integers(self.n))
-
-    def sample_many(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """Draw ``count`` roots uniformly (vectorized)."""
-        return rng.integers(self.n, size=count, dtype=np.int64)
+    def pick(self, u: np.ndarray) -> np.ndarray:
+        """Map uniforms in ``[0, 1)`` to roots: ``floor(u * n)``."""
+        return np.minimum((u * self.n).astype(np.int64), self.n - 1)
 
     @property
     def total_benefit(self) -> float:
@@ -68,14 +68,9 @@ class WeightedRoots:
             )
         return cls(benefits)
 
-    def sample(self, rng: np.random.Generator) -> int:
-        """Draw one root with probability proportional to its benefit."""
-        r = rng.random() * self._total
-        return int(np.searchsorted(self._cumulative, r, side="right"))
-
-    def sample_many(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """Draw ``count`` roots (vectorized inverse-CDF sampling)."""
-        r = rng.random(count) * self._total
+    def pick(self, u: np.ndarray) -> np.ndarray:
+        """Map uniforms in ``[0, 1)`` to roots by inverting the benefit CDF."""
+        r = np.asarray(u) * self._total
         return np.searchsorted(self._cumulative, r, side="right").astype(np.int64)
 
     @property

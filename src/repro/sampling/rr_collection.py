@@ -179,10 +179,10 @@ class _CoverageReadOps:
 class RRCollection(_CoverageReadOps):
     """Ordered collection of RR sets over nodes ``0..n-1``.
 
-    ``stream_id`` optionally records which kernel stream the stored sets
-    came from (see :mod:`repro.sampling.kernels`); it is provenance —
-    snapshots inherit it, and pool/spill layers key on it so sets from
-    different draw orders are never mixed in one collection.
+    ``stream_id`` optionally records which stream derivation the stored
+    sets came from (see :mod:`repro.sampling.seedstream`); it is
+    provenance — snapshots inherit it, and pool/spill layers key on it so
+    sets from different derivations are never mixed in one collection.
     """
 
     def __init__(self, n: int, *, stream_id: str | None = None) -> None:

@@ -1,40 +1,39 @@
-"""Per-set SeedSequence derivation — the seed-pure RR stream identity.
+"""The counter-based RR stream: every draw is a pure function of its coordinates.
 
 The Stop-and-Stare guarantees are statements about one logical i.i.d.
-RR-set stream.  Version 1 of this library tied that stream's identity to
-``(seed, workers)``: worker RNG streams were spawned per worker, so
-changing the worker count silently changed every sample, fragmented pool
-reuse, and pinned the fleet size at construction.  Version 2 derives an
-independent child :class:`numpy.random.SeedSequence` *per RR set*,
-indexed by the set's global stream position::
+RR-set stream.  Set ``g`` of a stream owns a 64-bit key, and every
+random decision inside the set is a counter-based draw (Salmon et al.,
+*Parallel Random Numbers: As Easy as 1, 2, 3*, SC'11)::
 
-    child(g) = SeedSequence(entropy, spawn_key=spawn_key + (g,))
+    key_g = F(stream_key, g)
+    root                       = F(key_g, ROOT)        ROOT = 2**64 - 1
+    IC coin of in-edge u -> v  = F(key_g, u * n + v)
+    LT hop t                   = F(key_g, t)
 
-Set ``g`` draws its root and runs its reverse traversal on a generator
-seeded from ``child(g)`` and nothing else, so the merged stream is a
-pure function of the seed alone:
+``F(key, c)`` is output ``c`` of SplitMix64 seeded at ``key`` (Steele,
+Lea & Flood, *Fast Splittable Pseudorandom Number Generators*, OOPSLA
+2014), computed by random access: ``mix64(key + (c + 1) * GAMMA)``, with
+SplitMix64's published increment and finalizer constants.  The stream
+key is the first 64-bit word of the seed's
+:class:`numpy.random.SeedSequence` state, so SSA's spawned
+verification stream gets a key of its own.
 
-* **worker count is a throughput knob** — any worker may compute any
-  set; sharding, backend choice, and mid-stream resizes are
-  byte-invisible;
+No draw depends on another, so set ``g``'s bytes are a function of
+``(seed, g, graph)`` and nothing else:
+
+* **worker count, backend and batching are throughput knobs** — any
+  worker may compute any set, in any block, in any visiting order;
 * **stream position is one integer** — a sampler's resumable state is
-  just the next global index (no RNG state blobs, no per-worker state
-  capture), which makes spills, reattaches, and pool suffix truncation
-  trivially exact;
-* **independence is by construction** — the SeedSequence spawning
-  protocol guarantees non-overlapping child streams, the same property
-  the per-worker spawning relied on, now at set granularity.
+  the next global index, which makes spills, reattaches and pool
+  suffix truncation exact;
+* **coins are keyed on edges, not on positions** — an edge insertion
+  moves CSR positions but leaves every other edge's coin alone, which
+  is what lets incremental repair reproduce a cold resample.
 
-Deriving a child SeedSequence + PCG64 generator through the numpy API
-costs ~12µs per set, which is comparable to sampling a small RR set.
-:class:`SeedStream` therefore computes child seed material in vectorized
-blocks — an exact clone of numpy's SeedSequence hashmix over an index
-vector — and reuses one bit-generator object, re-seeded per set, which
-cuts the overhead to ~2µs/set.  The fast path is self-verified against
-``numpy.random.SeedSequence`` at construction (and pinned by
-``tests/sampling/test_seedstream.py``); if it ever disagrees — an
-exotic platform, a changed numpy — the stream falls back to the
-reference derivation, never to a different stream.
+The IC coin of an edge with weight ``w`` is live iff its top 53 bits
+fall below ``ceil(w * 2**53)``: the same probability as comparing a
+53-bit uniform double with ``w``, with ``w = 0`` never and ``w = 1``
+always live.
 """
 
 from __future__ import annotations
@@ -43,122 +42,68 @@ import numpy as np
 
 from repro.exceptions import SamplingError
 
-# ----------------------------------------------------------------------
-# numpy SeedSequence hashmix constants (stable public algorithm; their
-# values are part of numpy's stream-compatibility guarantee).
-# ----------------------------------------------------------------------
-_XSHIFT = np.uint32(16)
-_INIT_A = np.uint32(0x43B0D7E5)
-_MULT_A = np.uint32(0x931E8875)
-_INIT_B = np.uint32(0x8B51F9DD)
-_MULT_B = np.uint32(0x58F38DED)
-_MIX_MULT_L = np.uint32(0xCA01F9DD)
-_MIX_MULT_R = np.uint32(0x4973F715)
-_POOL_SIZE = 4
+#: stream-compatibility token of this derivation.  Pools, spill stamps
+#: and sampler states carry it; ``v1`` (per-worker streams) and ``v2``
+#: (per-set SeedSequence children, one token per kernel) are refused.
+STREAM_ID = "v3"
 
-#: PCG64's 128-bit LCG multiplier (pcg_setseq_128_srandom replication).
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK_128 = (1 << 128) - 1
+#: SplitMix64's increment (the golden-ratio odd constant).
+GAMMA = np.uint64(0x9E3779B97F4A7C15)
+#: SplitMix64's finalizer multipliers (Stafford's Mix13 variant).
+_M1 = np.uint64(0xBF58476D1CE4E5B9)
+_M2 = np.uint64(0x94D049BB133111EB)
+_S30, _S27, _S31, _S11 = (np.uint64(s) for s in (30, 27, 31, 11))
 
-#: per-set indices are one uint32 spawn-key word; 4e9 sets per stream.
-MAX_STREAM_INDEX = 1 << 32
+#: counter of a set's root draw: ``(ROOT + 1) * GAMMA`` wraps to 0.
+ROOT = (1 << 64) - 1
 
-#: block size for vectorized child-seed precomputation.
-_CHUNK = 4096
+_MASK64 = (1 << 64) - 1
+_TWO_53 = float(1 << 53)
 
 
-def _uint32_words(value: int) -> "list[int]":
-    """An int as little-endian uint32 words (numpy's coercion, verbatim)."""
-    if value < 0:
-        raise SamplingError(f"seed entropy must be non-negative, got {value}")
-    if value == 0:
-        return [0]
-    words = []
-    while value > 0:
-        words.append(value & 0xFFFFFFFF)
-        value >>= 32
-    return words
+def draw(key: int, counter: int) -> int:
+    """``F(key, counter)`` on Python ints: the scalar definition that
+    :func:`mix64` over :func:`counter_salts` vectorizes."""
+    z = (int(key) + (int(counter) + 1) * int(GAMMA)) & _MASK64
+    z = ((z ^ (z >> 30)) * int(_M1)) & _MASK64
+    z = ((z ^ (z >> 27)) * int(_M2)) & _MASK64
+    return z ^ (z >> 31)
 
 
-def _assembled_prefix_words(entropy: int, spawn_key: tuple) -> "list[int]":
-    """The uint32 words a child SeedSequence hashes before its index word.
-
-    Mirrors ``SeedSequence._get_assembled_entropy``: entropy words are
-    zero-padded to the pool size whenever a spawn key is present (child
-    sequences always have one — ours end with the set index), then the
-    spawn-key words follow.
-    """
-    words = _uint32_words(int(entropy))
-    if len(words) < _POOL_SIZE:
-        words = words + [0] * (_POOL_SIZE - len(words))
-    for key in spawn_key:
-        words.extend(_uint32_words(int(key)))
-    return words
+def mix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's finalizer, in place on a ``uint64`` array; returns it."""
+    z ^= z >> _S30
+    z *= _M1
+    z ^= z >> _S27
+    z *= _M2
+    z ^= z >> _S31
+    return z
 
 
-def _children_seed_words(prefix_words: "list[int]", indices: np.ndarray) -> np.ndarray:
-    """PCG64 seed material for a vector of child SeedSequences.
-
-    For each index ``g`` this computes exactly
-    ``SeedSequence(entropy, spawn_key + (g,)).generate_state(4, uint64)``
-    — the four words PCG64 seeds from — but vectorized over ``g``: the
-    hashmix constants evolve identically for every child, so the whole
-    pool mix runs as uint32 array arithmetic.  Returns ``(n, 4)`` uint64.
-    """
-    g = np.asarray(indices, dtype=np.uint32)
-    n = g.size
-    with np.errstate(over="ignore"):
-        hash_const = np.full(n, _INIT_A, dtype=np.uint32)
-
-        def _hash(value: np.ndarray) -> np.ndarray:
-            nonlocal hash_const
-            value = value ^ hash_const
-            hash_const = hash_const * _MULT_A
-            value = value * hash_const
-            return value ^ (value >> _XSHIFT)
-
-        def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-            result = x * _MIX_MULT_L - y * _MIX_MULT_R
-            return result ^ (result >> _XSHIFT)
-
-        words = [np.full(n, np.uint32(w), dtype=np.uint32) for w in prefix_words]
-        words.append(g)
-        pool = np.zeros((n, _POOL_SIZE), dtype=np.uint32)
-        for i in range(_POOL_SIZE):
-            source = words[i] if i < len(words) else np.zeros(n, dtype=np.uint32)
-            pool[:, i] = _hash(source)
-        for i_src in range(_POOL_SIZE):
-            for i_dst in range(_POOL_SIZE):
-                if i_src != i_dst:
-                    pool[:, i_dst] = _mix(pool[:, i_dst], _hash(pool[:, i_src]))
-        for i_src in range(_POOL_SIZE, len(words)):
-            for i_dst in range(_POOL_SIZE):
-                pool[:, i_dst] = _mix(pool[:, i_dst], _hash(words[i_src]))
-
-        out = np.empty((n, 8), dtype=np.uint32)
-        hash_const = np.full(n, _INIT_B, dtype=np.uint32)
-        for i_dst in range(8):
-            value = pool[:, i_dst % _POOL_SIZE] ^ hash_const
-            hash_const = hash_const * _MULT_B
-            value = value * hash_const
-            out[:, i_dst] = value ^ (value >> _XSHIFT)
-    words64 = np.ascontiguousarray(out).view(np.uint64)
-    if not np.little_endian:  # pragma: no cover - matches numpy's handling
-        words64 = words64.byteswap()
-    return words64
+def counter_salts(counters: np.ndarray) -> np.ndarray:
+    """``(c + 1) * GAMMA`` per counter: add a key and :func:`mix64` to
+    get ``F(key, c)``.  Precomputed once per edge for IC coins."""
+    salts = np.array(counters, dtype=np.uint64, ndmin=1)
+    salts += np.uint64(1)
+    salts *= GAMMA
+    return salts
 
 
-def _pcg64_state(words: np.ndarray) -> "tuple[int, int]":
-    """PCG64's post-seed internal ``(state, inc)`` from four seed words.
+def top53(h: np.ndarray) -> np.ndarray:
+    """The top 53 bits of each draw, in place (the coin's comparand)."""
+    h >>= _S11
+    return h
 
-    Replicates ``pcg_setseq_128_srandom``: the bit generator does not
-    store the seed words directly, it folds them through one LCG step.
-    """
-    initstate = (int(words[0]) << 64) | int(words[1])
-    initseq = (int(words[2]) << 64) | int(words[3])
-    inc = ((initseq << 1) | 1) & _MASK_128
-    state = ((inc + initstate) * _PCG_MULT + inc) & _MASK_128
-    return state, inc
+
+def uniforms(h: np.ndarray) -> np.ndarray:
+    """Draws as doubles in ``[0, 1)`` (53-bit resolution)."""
+    return top53(h) / _TWO_53
+
+
+def coin_thresholds(weights: np.ndarray) -> np.ndarray:
+    """Integer threshold per edge weight: a coin is live iff
+    ``top53(F) < ceil(w * 2**53)``."""
+    return np.ceil(np.asarray(weights, dtype=np.float64) * _TWO_53).astype(np.uint64)
 
 
 def resolve_seed_sequence(seed) -> np.random.SeedSequence:
@@ -176,101 +121,39 @@ def resolve_seed_sequence(seed) -> np.random.SeedSequence:
         if not isinstance(seed_seq, np.random.SeedSequence):
             raise SamplingError(
                 "generator seeds must carry a numpy SeedSequence "
-                "(use numpy.random.default_rng); seed-pure RR streams are "
-                "derived per set from the SeedSequence spawning protocol"
+                "(use numpy.random.default_rng); RR streams derive their "
+                "key from it"
             )
         return seed_seq
     return np.random.SeedSequence(seed)  # int or None (fresh entropy)
 
 
 class SeedStream:
-    """Random-access derivation of one generator per global set index.
+    """Random access to the per-set keys of one stream.
 
     The stream identity is ``(entropy, spawn_key)`` of the root
-    SeedSequence; :meth:`rng_at` positions a reused generator at the
-    origin of child ``index``'s stream.  The returned generator is
-    shared — callers must finish one set's draws before asking for the
-    next index (exactly the sampler inner-loop discipline).
+    SeedSequence; :meth:`keys` returns ``key_g`` for any vector of
+    global set indices.
     """
 
     def __init__(self, seed=None) -> None:
-        if isinstance(seed, SeedStream):
-            root = seed.seed_sequence
-        else:
-            root = resolve_seed_sequence(seed)
+        root = seed.seed_sequence if isinstance(seed, SeedStream) else resolve_seed_sequence(seed)
         self.entropy = int(root.entropy)
         self.spawn_key = tuple(int(k) for k in root.spawn_key)
-        self._prefix_words = _assembled_prefix_words(self.entropy, self.spawn_key)
-        self._bit_generator = np.random.PCG64(0)
-        self._shared = np.random.Generator(self._bit_generator)
-        self._template = self._bit_generator.state
-        self._block: np.ndarray | None = None
-        self._block_start = 0
-        # The fast path is an exact clone of numpy's derivation; verify
-        # once against the reference and fall back rather than ever
-        # producing a different stream.
-        self._fast = bool(
-            root.pool_size == _POOL_SIZE
-            and np.array_equal(
-                _children_seed_words(self._prefix_words, np.asarray([0, 1]))[1],
-                self.child(1).generate_state(4, np.uint64),
-            )
-        )
+        self.key = np.uint64(root.generate_state(1, np.uint64)[0])
 
     @property
     def seed_sequence(self) -> np.random.SeedSequence:
         """The root SeedSequence (reconstructs the stream identity)."""
         return np.random.SeedSequence(entropy=self.entropy, spawn_key=self.spawn_key)
 
-    def child(self, index: int) -> np.random.SeedSequence:
-        """Reference derivation: the child SeedSequence of set ``index``."""
-        index = self._check_index(index)
-        return np.random.SeedSequence(
-            entropy=self.entropy, spawn_key=self.spawn_key + (index,)
-        )
-
-    def generator_at(self, index: int) -> np.random.Generator:
-        """A *fresh* generator at child ``index``'s origin (reference path)."""
-        return np.random.default_rng(self.child(index))
-
-    def prepare(self, start: int, count: int) -> None:
-        """Precompute child seed material for ``[start, start+count)``.
-
-        One vectorized hash pass instead of ``count`` SeedSequence
-        constructions; :meth:`rng_at` consumes the block and recomputes
-        on a miss, so calling this is purely an optimization.
-        """
-        if not self._fast or count <= 0:
-            return
-        start = self._check_index(start)
-        count = min(int(count), _CHUNK * 16, MAX_STREAM_INDEX - start)
-        self._block = _children_seed_words(
-            self._prefix_words, np.arange(start, start + count, dtype=np.uint64)
-        )
-        self._block_start = start
-
-    def rng_at(self, index: int) -> np.random.Generator:
-        """The shared generator, re-seeded to child ``index``'s origin."""
-        index = self._check_index(index)
-        if not self._fast:
-            return self.generator_at(index)
-        block = self._block
-        if block is None or not self._block_start <= index < self._block_start + len(block):
-            self.prepare(index, _CHUNK)
-            block = self._block
-        state, inc = _pcg64_state(block[index - self._block_start])
-        template = self._template
-        template["state"]["state"] = state
-        template["state"]["inc"] = inc
-        self._bit_generator.state = template
-        return self._shared
-
-    @staticmethod
-    def _check_index(index: int) -> int:
-        index = int(index)
-        if not 0 <= index < MAX_STREAM_INDEX:
+    def keys(self, indices) -> np.ndarray:
+        """``key_g`` for each global set index ``g`` (``uint64``)."""
+        indices = np.asarray(indices, dtype=np.int64)
+        if indices.size and int(indices.min()) < 0:
             raise SamplingError(
-                f"stream index {index} outside [0, 2**32) — one stream holds "
-                "at most 2**32 RR sets; start a new seed for more"
+                f"stream indices must be non-negative, got {int(indices.min())}"
             )
-        return index
+        z = counter_salts(indices)
+        z += self.key
+        return mix64(z)

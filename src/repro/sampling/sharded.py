@@ -7,9 +7,9 @@ streams; every Stop-and-Stare guarantee only needs the merged stream to
 be i.i.d. RR sets.
 
 :class:`ShardedSampler` *is* that coordinator.  Stream set ``g`` is a
-pure function of ``(seed, g)`` — its generator derives from the per-set
-SeedSequence child ``g`` (:mod:`repro.sampling.seedstream`) and its root
-is the first draw of that generator — so the coordinator's whole job is
+pure function of ``(seed, g)`` — every draw it makes, its root
+included, is a counter-based function of its key ``F(seed, g)``
+(:mod:`repro.sampling.seedstream`) — so the coordinator's whole job is
 to partition global indices round-robin across W workers and
 re-interleave the results.  It hands the per-worker index batches to a
 pluggable :class:`~repro.sampling.backends.base.ExecutionBackend`:
@@ -62,17 +62,16 @@ class ShardedSampler(RRSampler):
         Initial worker count — pure throughput, resizable at runtime via
         :meth:`resize`; the stream is identical at every value.
     seed, roots:
-        Stream seed (per-set SeedSequence children derive from it) and
-        root distribution (shipped to workers — each set's root is drawn
-        from the set's own generator, so WRIS shards exactly like RIS).
+        Stream seed (every set key derives from it) and root
+        distribution (shipped to workers — each set's root is drawn from
+        the set's own key, so WRIS shards exactly like RIS).
     backend:
         Backend name (``"serial"``, ``"thread"``, ``"process"``,
         ``"network"``) or a not-yet-started :class:`ExecutionBackend`
         instance.
     kernel:
-        Reverse-sampling kernel (name or instance); every worker
-        instantiates the same kernel, so the merged stream carries one
-        ``stream_id``.
+        Accepted kernel name (see :mod:`repro.sampling.kernels`); it
+        selects nothing and never reaches the workers.
     """
 
     def __init__(
@@ -90,25 +89,11 @@ class ShardedSampler(RRSampler):
     ) -> None:
         if workers < 1:
             raise SamplingError(f"need at least one worker, got {workers}")
-        # Before super().__init__: resolving kernel="auto" reads the model.
         self.model = DiffusionModel.parse(model)
         super().__init__(
             graph, seed, roots=roots, max_hops=max_hops, kernel=kernel,
             graph_version=graph_version,
         )
-        # Workers rebuild the kernel from its *name* (instances don't
-        # cross process boundaries), so only registered kernels can
-        # shard — an unregistered instance would be silently replaced by
-        # whatever the registry holds under that name.
-        from repro.sampling.kernels import make_kernel
-
-        if make_kernel(self.kernel.name) is not self.kernel:
-            raise SamplingError(
-                f"kernel {self.kernel.name!r} is not the registered instance; "
-                "sharded sampling rebuilds kernels by name in workers, so "
-                "custom kernels must be registered in repro.sampling.kernels."
-                "KERNELS first"
-            )
         self._workers = int(workers)
         self.backend = make_backend(backend)
         self.backend.start(
@@ -120,7 +105,6 @@ class ShardedSampler(RRSampler):
                 workers=self._workers,
                 roots=self.roots,
                 max_hops=max_hops,
-                kernel=self.kernel.name,
                 graph_version=self.graph_version,
             )
         )
@@ -134,10 +118,10 @@ class ShardedSampler(RRSampler):
         """Current worker count (a throughput knob; see :meth:`resize`)."""
         return self._workers
 
-    def _reverse_sample(self, root: int) -> np.ndarray:  # pragma: no cover
+    def _sample_keys(self, keys, roots):  # pragma: no cover
         raise SamplingError(
             "ShardedSampler computes sets in workers; use sample()/"
-            "sample_batch()/sample_at()"
+            "sample_batch()/sample_block()"
         )
 
     def _sync_fleet(self) -> None:
@@ -174,8 +158,8 @@ class ShardedSampler(RRSampler):
         Routes index ``g`` to worker ``g mod W`` — the same round-robin
         convention as :meth:`sample_at`/:meth:`sample_batch` — and merges
         the shard results back into batch order.  Workers serve their
-        shards through their own kernels' lockstep block path, so
-        batch-composition invariance holds end to end: entry ``i`` equals
+        shards through the lockstep block path, so batch-composition
+        invariance holds end to end: entry ``i`` equals
         ``sample_at(indices[i])`` byte for byte at any worker count.
         """
         indices = np.asarray(indices, dtype=np.int64)
@@ -203,7 +187,7 @@ class ShardedSampler(RRSampler):
 
         The batch covers global indices ``cursor .. cursor+count-1``;
         index ``g`` routes to worker ``g mod W``.  Every set is
-        self-contained (its generator and root derive from ``g`` alone),
+        self-contained (its draws and root derive from ``g`` alone),
         so re-interleaving the shard results restores the stream order
         exactly and the merged stream is the same for any batching, any
         backend, and any worker count — including a :meth:`resize`

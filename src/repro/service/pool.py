@@ -50,7 +50,7 @@ from dataclasses import dataclass, replace
 
 from repro.engine.context import SamplingContext
 from repro.exceptions import SamplingError
-from repro.sampling.kernels import DEFAULT_STREAM_ID
+from repro.sampling.seedstream import STREAM_ID
 from repro.service.store import PoolStore, make_stamp
 
 
@@ -60,21 +60,22 @@ class PoolKey:
 
     ``namespace`` isolates sessions from each other (two sessions with
     different graphs or seeds must never share a pool); the remaining
-    fields mirror the engine's context key.  ``stream_id`` is the
-    kernel's stream-compatibility token (defaulting to the historical
-    scalar stream): two queries share a pool only when their RNG draw
-    orders are byte-compatible.  ``graph_version`` is the mutation
-    lineage position of the graph the pool was sampled on (0 = the
-    pristine snapshot; see :mod:`repro.dynamic`) — a mutation rekeys
-    every repaired pool to the new version, so stale keys can never
-    resolve to post-mutation state.
+    fields mirror the engine's context key.  ``stream_id`` is the stream
+    derivation's compatibility token
+    (:data:`~repro.sampling.seedstream.STREAM_ID`): two queries share a
+    pool only when their streams are byte-compatible, whatever kernel
+    name either session gave.  ``graph_version`` is the mutation lineage
+    position of the graph the pool was sampled on (0 = the pristine
+    snapshot; see :mod:`repro.dynamic`) — a mutation rekeys every
+    repaired pool to the new version, so stale keys can never resolve
+    to post-mutation state.
     """
 
     namespace: str
     stream: str
     model: str
     horizon: int | None
-    stream_id: str = DEFAULT_STREAM_ID
+    stream_id: str = STREAM_ID
     graph_version: int = 0
 
 

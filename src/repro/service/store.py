@@ -17,12 +17,12 @@ digest of the stamp — so reattachment never needs session names and a
 stale file for a different seed/graph can never be picked up by
 accident.
 
-**Legacy spills.**  Files stamped by the v1 (``(seed, workers)``-derived)
-streams carry ``workers``/``sampler_kind`` in their stamps, so their
-content addresses can never match a current stamp: looking one up is a
-clean cache miss, never silent mixing.  Their *sets* remain readable
-through :meth:`PoolStore.load_file` (read-only — a legacy stream cannot
-be continued by a seed-pure sampler).
+**Older spills.**  Stamps embed the derivation's ``stream_id``.  Files
+stamped by earlier derivations — v1 (``(seed, workers)``-derived, with
+``workers``/``sampler_kind`` stamp keys) and v2 (one ``stream_id`` per
+kernel, e.g. ``"batched-v2"``) — have content addresses no current
+stamp produces, so looking one up is a clean cache miss, never silent
+mixing.
 """
 
 from __future__ import annotations
@@ -91,10 +91,9 @@ def make_stamp(
     if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
         return None
     # No sampler shape in the identity: seed-pure streams are identical
-    # for any worker count and backend, so one spill serves them all.
-    # The stream_id (kernel draw order + derivation version) is always
-    # embedded — v2 stamps must never collide with legacy ones, whose
-    # extra workers/sampler_kind keys change the digest anyway.
+    # for any worker count, backend and kernel name, so one spill serves
+    # them all.  The derivation's stream_id is always embedded, so stamps
+    # of earlier derivations never collide with current ones.
     stamp = {
         "graph_sig": graph_signature(graph),
         "model": str(model),
@@ -211,42 +210,6 @@ class PoolStore:
             raise PoolStoreError(f"{path} is corrupt: offsets do not match count")
         sets = [flat[offsets[i] : offsets[i + 1]] for i in range(count)]
         return sets, header["sampler_state"]
-
-    def load_file(self, path: "str | os.PathLike") -> dict:
-        """Read one spill file by path, without stamp matching — read-only.
-
-        The migration / inspection entry point: legacy (v1-stream) spills
-        have stamps no current sampler can produce, so they are
-        unreachable through :meth:`load`; this reads any structurally
-        valid file and returns ``{"stamp", "sets", "sampler_state",
-        "count"}``.  The sets are plain arrays (usable as a frozen
-        RR collection); the sampler state is returned verbatim and a
-        legacy state will be *refused* by
-        :meth:`~repro.sampling.base.RRSampler.load_state_dict` — a v1
-        stream cannot be continued, only read.
-        """
-        path = Path(path)
-        try:
-            with np.load(path) as archive:
-                header = json.loads(bytes(archive["header"]).decode())
-                flat = archive["flat"]
-                offsets = archive["offsets"]
-        except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-            raise PoolStoreError(f"cannot read spilled pool {path}: {exc}") from exc
-        if header.get("format_version") != _FORMAT_VERSION:
-            raise PoolStoreError(
-                f"{path} has format_version {header.get('format_version')!r}; "
-                f"this library reads {_FORMAT_VERSION}"
-            )
-        count = int(header["count"])
-        if len(offsets) != count + 1:
-            raise PoolStoreError(f"{path} is corrupt: offsets do not match count")
-        return {
-            "stamp": header.get("stamp", {}),
-            "sets": [flat[offsets[i] : offsets[i + 1]] for i in range(count)],
-            "sampler_state": header["sampler_state"],
-            "count": count,
-        }
 
     def files(self) -> "list[Path]":
         """All spilled pools currently on disk."""

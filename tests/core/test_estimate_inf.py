@@ -73,6 +73,28 @@ class TestEstimation:
         result = estimate_influence(sampler, [0], 0.2, 0.1, max_samples=100_000)
         assert result.samples_used == sampler.sets_generated
 
+    @pytest.mark.parametrize(
+        "seed,max_samples", [(7, 5), (7, 200), (1, 100_000), (6, 100_000), (8, 100_000)]
+    )
+    def test_stops_where_a_set_by_set_loop_stops(self, star_half, seed, max_samples):
+        # Sets drawn in blocks past the stopping point are given back: the
+        # same stopping set, stream position and counters as one set per
+        # call, so a second verification continues the same stream.  The
+        # uncapped seeds stop inside a block (seed 8 after a run of
+        # small tail blocks).
+        lambda_2 = required_successes(0.2, 0.1)
+        ref = make_sampler(star_half, "IC", seed=seed)
+        successes = t = 0
+        while t < max_samples and successes < lambda_2:
+            t += 1
+            successes += int(bool((ref.sample() == 0).any()))
+        sampler = make_sampler(star_half, "IC", seed=seed)
+        result = estimate_influence(sampler, [0], 0.2, 0.1, max_samples=max_samples)
+        assert (result.samples_used, result.successes) == (t, successes)
+        assert result.capped == (successes < lambda_2)
+        assert sampler.state_dict() == ref.state_dict()
+        np.testing.assert_array_equal(sampler.sample(), ref.sample())
+
 
 class TestValidation:
     def test_bad_epsilon(self, star_half):

@@ -2,8 +2,8 @@
 
 The acceptance property of dynamic graphs: after ``repair_context``, the
 warm pool equals — array for array — a pool sampled cold on the mutated
-graph, for both kernels and across execution backends, while resampling
-only the invalidated fraction.
+graph, across execution backends, while resampling only the
+invalidated fraction.
 """
 
 import numpy as np
@@ -25,34 +25,39 @@ BACKENDS = [
 
 
 def _localized_delta(graph):
-    """A delta touching one existing edge plus one insert — small blast
-    radius, so the repair fraction must stay well below 1."""
-    u = 0
-    while graph.out_indptr[u] == graph.out_indptr[u + 1]:
-        u += 1
-    v = int(graph.out_indices[graph.out_indptr[u]])
-    add_u, add_v = None, None
-    for cand_u in range(graph.n):
-        for cand_v in range(graph.n - 1, -1, -1):
-            if cand_u != cand_v and not graph.has_edge(cand_u, cand_v):
-                add_u, add_v = cand_u, cand_v
-                break
-        if add_u is not None:
+    """A delta removing one edge, reweighting another and inserting a
+    third — small blast radius, so the repair fraction must stay well
+    below 1.  The insert targets the lowest node that can take one, so
+    it shifts the in-CSR position of nearly every other edge: a coin
+    keyed on position instead of on (u, v) would change sets the delta
+    never touched, and the repaired pool would differ from a cold one."""
+    edges = []
+    for u in range(graph.n):
+        for v in graph.out_indices[graph.out_indptr[u] : graph.out_indptr[u + 1]]:
+            edges.append((u, int(v)))
+        if len(edges) >= 2 and edges[-1][1] != edges[0][1]:
             break
-    return GraphDelta().remove_edge(u, v).add_edge(add_u, add_v, 0.3)
+    (u, v), (ru, rv) = edges[0], edges[-1]
+    add_u, add_v = next(
+        (cand_u, cand_v)
+        for cand_v in range(graph.n)
+        for cand_u in range(graph.n - 1, -1, -1)
+        if cand_u != cand_v and not graph.has_edge(cand_u, cand_v)
+    )
+    return (
+        GraphDelta().remove_edge(u, v).reweight(ru, rv, 0.05).add_edge(add_u, add_v, 0.3)
+    )
 
 
 class TestByteIdentity:
-    @pytest.mark.parametrize("kernel", ["scalar", "vectorized"])
     @pytest.mark.parametrize("backend,workers", BACKENDS)
     @pytest.mark.parametrize("model", ["IC", "LT"])
     def test_repaired_pool_equals_cold_resample(
-        self, small_wc_graph, model, backend, workers, kernel
+        self, small_wc_graph, model, backend, workers
     ):
         delta = _localized_delta(small_wc_graph)
         warm = SamplingContext(
-            small_wc_graph, model, seed=SEED, backend=backend, workers=workers,
-            kernel=kernel,
+            small_wc_graph, model, seed=SEED, backend=backend, workers=workers
         )
         try:
             warm.require(POOL)
@@ -62,7 +67,7 @@ class TestByteIdentity:
             assert stats["repair_fraction"] == pytest.approx(
                 stats["invalidated"] / POOL
             )
-            with SamplingContext(mutated, model, seed=SEED, kernel=kernel) as cold:
+            with SamplingContext(mutated, model, seed=SEED) as cold:
                 cold.require(POOL)
                 for i in range(POOL):
                     assert np.array_equal(warm.pool[i], cold.pool[i]), i
@@ -112,6 +117,25 @@ class TestByteIdentity:
             pristine = make_sampler(small_wc_graph, "IC", SEED)
             with pytest.raises(SamplingError, match="graph_version"):
                 pristine.load_state_dict(state)
+        finally:
+            ctx.close()
+
+    def test_resize_after_a_mutation_keeps_the_lineage(self, small_wc_graph):
+        """Upgrading a repaired plain context to a worker fleet carries
+        its graph_version along, and the stream continues as cold."""
+        delta = _localized_delta(small_wc_graph)
+        ctx = SamplingContext(small_wc_graph, "IC", seed=SEED)
+        try:
+            ctx.require(50)
+            mutated = MutableGraphView(small_wc_graph).apply(delta)
+            repair_context(ctx, mutated, 1, delta)
+            ctx.resize(2)
+            assert ctx.workers == 2 and ctx.state_dict()["graph_version"] == 1
+            ctx.require(80)
+            with SamplingContext(mutated, "IC", seed=SEED) as cold:
+                cold.require(80)
+                for i in range(80):
+                    assert np.array_equal(ctx.pool[i], cold.pool[i]), i
         finally:
             ctx.close()
 

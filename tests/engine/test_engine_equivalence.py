@@ -6,9 +6,9 @@ across serial, thread, and process execution backends — and a repeat
 query with the same parameters must be served from the cached RR pool
 without growing it.
 
-Every test runs under both sampling kernels (module-level ``kernel``
-fixture): byte-identity guarantees hold *within* a kernel, whichever
-kernel it is.
+Every test runs under two kernel names (module-level ``kernel``
+fixture): names are accepted for compatibility and select nothing, so
+the guarantees hold whichever name a caller gives.
 """
 
 import pytest

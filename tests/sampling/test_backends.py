@@ -2,10 +2,10 @@
 
 The load-bearing property is that execution topology is *invisible* in
 the sampled RR stream: serial, thread, and process execution at **any**
-worker count must merge to byte-identical streams (seed-pure per-set
-derivation), and the merged stream must stay unbiased (Lemma 1) so
-every Stop-and-Stare guarantee survives parallel execution.  The full
-workers × backends × kernels matrix lives in
+worker count must merge to byte-identical streams (seed-pure
+counter-based draws), and the merged stream must stay unbiased (Lemma 1)
+so every Stop-and-Stare guarantee survives parallel execution.  The
+full workers × backends × kernel names matrix lives in
 ``tests/sampling/test_elastic.py``.
 """
 
@@ -193,7 +193,7 @@ class TestStreamStateCapture:
             expected = [rr.tolist() for rr in sharded.sample_batch(9)]
         finally:
             sharded.close()
-        assert "workers" not in state and state["kind"] == "seedpure"
+        assert "workers" not in state and state["stream_id"] == "v3"
         plain = make_sampler(small_wc_graph, "LT", 1)
         plain.load_state_dict(state)
         assert [rr.tolist() for rr in plain.sample_batch(9)] == expected
@@ -219,9 +219,9 @@ class TestStreamStateCapture:
             "sets_generated": 10,
             "entries_generated": 40,
         }
-        with pytest.raises(SamplingError, match="legacy"):
+        with pytest.raises(SamplingError, match="byte-compatible"):
             sampler.load_state_dict(legacy)
-        with pytest.raises(SamplingError, match="legacy"):
+        with pytest.raises(SamplingError, match="byte-compatible"):
             sampler.load_state_dict({"kind": "plain", "rng": {}, "sets_generated": 3})
 
 
@@ -421,8 +421,8 @@ class TestParallelAlgorithms:
 
 
 class TestAutoKernelOnShardedBackends:
-    """One-shot ``kernel="auto"`` on a sharded backend resolves the kernel
-    before the fleet starts and answers exactly as the serial run does."""
+    """One-shot ``kernel="auto"`` on a sharded backend answers exactly as
+    the serial run does."""
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
     @pytest.mark.parametrize("algorithm", ["ssa", "dssa", "imm"])

@@ -1,21 +1,36 @@
 """Elastic-worker acceptance: the merged RR stream is seed-pure.
 
-The PR's pinned property: the merged stream is byte-identical across
-workers ∈ {1, 2, 4}, all three execution backends, both kernels, and
-across a mid-stream worker resize.  Process-backend cells run on a
-shared fixture (spawning fleets is expensive); the in-process cells run
-the full matrix.
+The pinned property: the merged stream is byte-identical across
+workers ∈ {1, 2, 4}, all three execution backends, and across a
+mid-stream worker resize — for plain RIS, for WRIS roots and for a
+horizon-truncated stream, whose root distribution and hop cap must
+reach the workers intact.  Process-backend cells run on a shared
+fixture (spawning fleets is expensive); the in-process cells run the
+full matrix.  Kernel names select nothing and never reach a worker;
+``TestCrossNameIdentity`` in ``test_kernels.py`` is their check.
 """
 
 import numpy as np
 import pytest
 
 from repro.sampling.base import make_sampler
+from repro.sampling.roots import WeightedRoots
 from repro.sampling.sharded import ShardedSampler
 
 SEED = 2016
 SETS = 60
-KERNEL_NAMES = ("scalar", "vectorized")
+#: stream configurations that ship to the workers with the graph.
+CONFIGS = ("plain", "wris", "horizon")
+
+
+def _options(config, graph):
+    options = {}
+    if "wris" in config:
+        benefits = np.arange(graph.n, dtype=np.float64) % 3  # a third never roots
+        options["roots"] = WeightedRoots(benefits)
+    if "horizon" in config:
+        options["max_hops"] = 2
+    return options
 
 
 def _stream(sampler, count=SETS, batches=(23, 30, 7)):
@@ -27,11 +42,11 @@ def _stream(sampler, count=SETS, batches=(23, 30, 7)):
 
 @pytest.fixture(scope="module", params=["LT", "IC"])
 def reference(request, module_graph):
-    """The plain (coordinator-free) sampler defines the stream."""
+    """The plain (coordinator-free) sampler defines each stream."""
     model = request.param
     return {
-        kernel: _stream(make_sampler(module_graph, model, SEED, kernel=kernel))
-        for kernel in KERNEL_NAMES
+        config: _stream(make_sampler(module_graph, model, SEED, **_options(config, module_graph)))
+        for config in CONFIGS
     }, model
 
 
@@ -45,23 +60,23 @@ def module_graph():
 class TestWorkerAndBackendInvariance:
     @pytest.mark.parametrize("workers", [1, 2, 4])
     @pytest.mark.parametrize("backend", ["serial", "thread"])
-    @pytest.mark.parametrize("kernel", KERNEL_NAMES)
+    @pytest.mark.parametrize("config", CONFIGS)
     def test_merged_stream_matches_plain(
-        self, module_graph, reference, workers, backend, kernel
+        self, module_graph, reference, workers, backend, config
     ):
         streams, model = reference
         sampler = ShardedSampler(
-            module_graph, model, workers, seed=SEED, backend=backend, kernel=kernel
+            module_graph, model, workers, seed=SEED, backend=backend,
+            **_options(config, module_graph),
         )
-        assert _stream(sampler) == streams[kernel]
+        assert _stream(sampler) == streams[config]
 
-    @pytest.mark.parametrize("kernel", KERNEL_NAMES)
-    def test_mid_stream_resize_is_byte_invisible(
-        self, module_graph, reference, kernel
-    ):
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_mid_stream_resize_is_byte_invisible(self, module_graph, reference, config):
         streams, model = reference
         sampler = ShardedSampler(
-            module_graph, model, 2, seed=SEED, backend="thread", kernel=kernel
+            module_graph, model, 2, seed=SEED, backend="thread",
+            **_options(config, module_graph),
         )
         try:
             first = [rr.tolist() for rr in sampler.sample_batch(19)]
@@ -71,7 +86,13 @@ class TestWorkerAndBackendInvariance:
             third = [rr.tolist() for rr in sampler.sample_batch(20)]
         finally:
             sampler.close()
-        assert first + second + third == streams[kernel]
+        assert first + second + third == streams[config]
+
+    def test_configurations_give_distinct_streams(self, reference):
+        # Guards the matrix: a config that failed to change the stream
+        # would make its cells vacuous.
+        streams, _ = reference
+        assert len({str(stream) for stream in streams.values()}) == len(CONFIGS)
 
     def test_resize_rebalances_load(self, module_graph):
         sampler = ShardedSampler(module_graph, "LT", 2, seed=SEED, backend="serial")
@@ -87,40 +108,43 @@ class TestWorkerAndBackendInvariance:
             sampler.close()
 
 
+#: the spawn-heavy process matrix runs plain RIS, and WRIS roots under a
+#: horizon, which must both cross the process boundary.
+PROCESS_CONFIGS = ("plain", "wris+horizon")
+
+
 @pytest.fixture(scope="module")
 def process_streams(module_graph):
     """One spawn-heavy pass: workers {1, 2, 4} + a mid-stream resize on
-    the process backend, both kernels, single fixture."""
+    the process backend, per configuration, single fixture."""
     out = {}
-    for kernel in KERNEL_NAMES:
+    for config in PROCESS_CONFIGS:
+        options = _options(config, module_graph)
         per_workers = {}
         for workers in (1, 2, 4):
             sampler = ShardedSampler(
-                module_graph, "LT", workers, seed=SEED, backend="process", kernel=kernel
+                module_graph, "LT", workers, seed=SEED, backend="process", **options
             )
             per_workers[workers] = _stream(sampler)
-        sampler = ShardedSampler(
-            module_graph, "LT", 1, seed=SEED, backend="process", kernel=kernel
-        )
+        sampler = ShardedSampler(module_graph, "LT", 1, seed=SEED, backend="process", **options)
         try:
             resized = [rr.tolist() for rr in sampler.sample_batch(25)]
             sampler.resize(4)
             resized += [rr.tolist() for rr in sampler.sample_batch(35)]
         finally:
             sampler.close()
-        out[kernel] = {"per_workers": per_workers, "resized": resized}
+        out[config] = {"per_workers": per_workers, "resized": resized}
     return out
 
 
 class TestProcessBackendMatrix:
-    @pytest.mark.parametrize("kernel", KERNEL_NAMES)
-    def test_all_worker_counts_agree_with_plain(
-        self, module_graph, process_streams, kernel
-    ):
-        plain = _stream(make_sampler(module_graph, "LT", SEED, kernel=kernel))
-        for workers, stream in process_streams[kernel]["per_workers"].items():
+    @pytest.mark.parametrize("config", PROCESS_CONFIGS)
+    def test_all_worker_counts_agree_with_plain(self, module_graph, process_streams, config):
+        options = _options(config, module_graph)
+        plain = _stream(make_sampler(module_graph, "LT", SEED, **options))
+        for workers, stream in process_streams[config]["per_workers"].items():
             assert stream == plain, f"workers={workers}"
-        assert process_streams[kernel]["resized"] == plain
+        assert process_streams[config]["resized"] == plain
 
 
 class TestElasticUnbiasedness:

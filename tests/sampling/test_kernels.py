@@ -1,15 +1,16 @@
-"""Kernel subsystem acceptance: streams, identity plumbing, agreement.
+"""RR engine acceptance: one stream for every kernel name, and agreement.
 
 Three layers of guarantees:
 
-* **within a kernel** — the stream is byte-identical across replays,
-  batchings, and serial/thread/process execution backends (the same
-  contract the backends have always had, now per kernel);
-* **across kernels** — streams are *not* byte-compatible (different RNG
-  draw order) and every identity surface says so: ``state_dict`` refuses
-  cross-kernel restores, pool keys and spill stamps embed ``stream_id``;
-* **distributionally** — both kernels sample the same RR-set law, which
-  a KS check on RR sizes and an influence-estimate comparison verify.
+* **one stream** — every accepted kernel name gives the same bytes, and
+  so do replays, batchings, block widths and the serial/thread/process
+  execution backends; pools, spill stamps and sampler states carry one
+  ``stream_id`` with no kernel name in it;
+* **against the reference** — the lockstep IC and LT paths emit exactly
+  the per-set reference loops' bytes (``reference_block``);
+* **distributionally** — independent seeds sample the same RR-set law,
+  which a KS check on RR sizes and an influence-estimate comparison
+  verify.
 """
 
 import numpy as np
@@ -19,154 +20,87 @@ from repro.exceptions import SamplingError
 from repro.graph.weights import assign_constant_weights
 from repro.sampling.base import make_sampler, resolve_kernel
 from repro.sampling.kernels import (
-    AUTO_KERNEL,
-    DEFAULT_STREAM_ID,
+    KERNEL_NAMES as ALL_NAMES,
     KERNELS,
-    BatchedKernel,
-    LTBatchedKernel,
-    ScalarKernel,
-    VectorizedKernel,
-    check_stream_id,
-    list_kernels,
+    SamplingKernel,
     make_kernel,
+    reference_block,
 )
+from repro.sampling.roots import WeightedRoots
 from repro.sampling.sharded import ShardedSampler
 
 SEED = 2016
-KERNEL_NAMES = ("scalar", "vectorized", "batched")
+
+
+def same_sets(a, b) -> bool:
+    return len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 @pytest.fixture
 def viral_graph(er_graph):
-    """IC in the wide-frontier regime (constant p exercises every
-    vectorized code path: per-node fast path, gather, flag dedup)."""
+    """IC in the wide-frontier regime (constant p: wide frontiers, many
+    coins per BFS step)."""
     return assign_constant_weights(er_graph, 0.35)
 
 
 class TestRegistry:
-    def test_default_is_the_scalar_stream(self):
+    def test_default_is_the_scalar_name(self):
         assert make_kernel(None) is KERNELS["scalar"]
-        assert DEFAULT_STREAM_ID == "scalar-v2"
 
     def test_names_resolve_case_insensitively(self):
         assert make_kernel("Vectorized") is KERNELS["vectorized"]
 
     def test_instances_pass_through(self):
-        kernel = VectorizedKernel()
-        assert make_kernel(kernel) is kernel
+        assert make_kernel(SamplingKernel("batched")) is KERNELS["batched"]
 
     def test_unknown_kernel_is_rejected(self):
         with pytest.raises(SamplingError, match="unknown sampling kernel"):
             make_kernel("simd")
+        with pytest.raises(SamplingError, match="unknown sampling kernel"):
+            make_kernel(SamplingKernel("simd"))
 
-    def test_stream_ids_are_distinct_and_versioned(self):
-        ids = {KERNELS[name].stream_id for name in list_kernels()}
-        assert len(ids) == len(list_kernels())
-        assert ids == {
-            "scalar-v2", "vectorized-v2", "batched-v2", "lt-batched-v2",
-        }
+    def test_five_names_are_accepted(self):
+        assert ALL_NAMES == ("scalar", "vectorized", "batched", "lt-batched", "auto")
+        for name in ALL_NAMES:
+            assert make_kernel(name).name == name
 
-    def test_auto_is_not_a_kernel(self):
-        """'auto' is a selection policy; letting it through make_kernel
-        would leak a non-identity into stream_ids and pool keys."""
-        with pytest.raises(SamplingError, match="selection policy"):
-            make_kernel(AUTO_KERNEL)
-
-    def test_sampler_carries_its_kernel_stream_id(self, small_wc_graph):
-        sampler = make_sampler(small_wc_graph, "IC", SEED, kernel="vectorized")
-        assert sampler.stream_id == "vectorized-v2"
-        assert isinstance(sampler.kernel, VectorizedKernel)
+    def test_no_stream_id_contains_a_kernel_name(self, small_wc_graph):
+        for name in ALL_NAMES:
+            sampler = make_sampler(small_wc_graph, "IC", SEED, kernel=name)
+            assert sampler.stream_id == "v3"
+            assert sampler.kernel.name == name
 
 
-class TestScalarStreamUnchanged:
-    """The scalar kernel's numpy-mask stamping is a pure optimization:
-    its stream must equal the historical per-element loop's, byte for
-    byte — published seed sets replay."""
-
-    @staticmethod
-    def _reference_ic(sampler, root):
-        """The pre-kernel ICSampler._reverse_sample, verbatim."""
-        graph = sampler.graph
-        stamp = sampler._visited_stamp
-        gen = sampler._next_generation()
-        rng = sampler.rng
-        stamp[root] = gen
-        result = [root]
-        frontier = [root]
-        indptr = graph.in_indptr
-        indices = graph.in_indices
-        weights = graph.in_weights
-        hops_left = sampler.max_hops if sampler.max_hops is not None else -1
-        while frontier:
-            if hops_left == 0:
-                break
-            hops_left -= 1
-            next_frontier = []
-            for v in frontier:
-                lo, hi = indptr[v], indptr[v + 1]
-                if lo == hi:
-                    continue
-                coins = rng.random(hi - lo)
-                live = indices[lo:hi][coins < weights[lo:hi]]
-                for u in live.tolist():
-                    if stamp[u] != gen:
-                        stamp[u] = gen
-                        result.append(u)
-                        next_frontier.append(u)
-            frontier = next_frontier
-        return np.asarray(result, dtype=np.int32)
+class TestLockstepEqualsReference:
+    """The lockstep paths against the per-set reference loops."""
 
     @pytest.mark.parametrize("max_hops", [None, 0, 2])
     def test_ic_stream_matches_reference_loop(self, viral_graph, max_hops):
-        new = make_sampler(viral_graph, "IC", SEED, max_hops=max_hops)
-        old = make_sampler(viral_graph, "IC", SEED, max_hops=max_hops)
-        rng = np.random.default_rng(3)
-        for root in rng.integers(0, viral_graph.n, 200):
-            got = new._reverse_sample(int(root))
-            want = self._reference_ic(old, int(root))
-            assert np.array_equal(got, want)
-        # the RNG positions agree too — the streams stay aligned forever
-        assert new.rng.bit_generator.state == old.rng.bit_generator.state
+        sampler = make_sampler(viral_graph, "IC", SEED, max_hops=max_hops)
+        indices = np.arange(200)
+        assert same_sets(sampler.sample_batch(200), reference_block(sampler, indices))
 
-    def test_lt_stream_untouched_by_kernel_dispatch(self, small_wc_graph):
-        a = make_sampler(small_wc_graph, "LT", SEED).sample_batch(200)
-        b = make_sampler(small_wc_graph, "LT", SEED, kernel="vectorized").sample_batch(200)
-        for x, y in zip(a, b):
-            assert np.array_equal(x, y)  # LT shares the walk implementation
-
-
-class TestBatchSplitInvariance:
-    def test_generator_random_is_batch_split_invariant(self):
-        """The vectorized kernel's per-node fast path draws rng.random(d)
-        per frontier node instead of one rng.random(total) — legal only
-        because numpy fills double batches sequentially with no
-        buffering.  If this ever breaks, the kernel must bump its
-        version (the stream changed)."""
-        for seed in range(4):
-            split = np.random.default_rng(seed)
-            parts = [split.random(3), split.random(0), split.random(5), split.random(1)]
-            whole = np.random.default_rng(seed).random(9)
-            assert np.array_equal(np.concatenate(parts), whole)
+    @pytest.mark.parametrize("max_hops", [None, 0, 2])
+    def test_lt_stream_matches_reference_walk(self, small_wc_graph, max_hops):
+        sampler = make_sampler(small_wc_graph, "LT", SEED, max_hops=max_hops)
+        indices = np.arange(200)
+        assert same_sets(sampler.sample_batch(200), reference_block(sampler, indices))
 
 
 class TestWithinKernelByteIdentity:
-    @pytest.mark.parametrize("kernel", KERNEL_NAMES)
-    def test_replay_and_batching_invariance(self, viral_graph, kernel):
-        whole = make_sampler(viral_graph, "IC", SEED, kernel=kernel).sample_batch(120)
-        pieces_sampler = make_sampler(viral_graph, "IC", SEED, kernel=kernel)
+    def test_replay_and_batching_invariance(self, viral_graph):
+        whole = make_sampler(viral_graph, "IC", SEED).sample_batch(120)
+        pieces_sampler = make_sampler(viral_graph, "IC", SEED)
         pieces = pieces_sampler.sample_batch(50) + pieces_sampler.sample_batch(70)
         for x, y in zip(whole, pieces):
             assert np.array_equal(x, y)
 
-    @pytest.mark.parametrize("kernel", KERNEL_NAMES)
-    def test_stream_identical_across_all_backends(self, viral_graph, kernel):
-        """serial / thread / process workers all instantiate the same
-        kernel, so a backend swap cannot change a byte of the stream."""
+    def test_stream_identical_across_all_backends(self, viral_graph):
+        """serial / thread / process workers all run the same engine, so
+        a backend swap cannot change a byte of the stream."""
         streams = {}
         for backend in ("serial", "thread", "process"):
-            sampler = ShardedSampler(
-                viral_graph, "IC", 3, seed=SEED, backend=backend, kernel=kernel
-            )
+            sampler = ShardedSampler(viral_graph, "IC", 3, seed=SEED, backend=backend)
             try:
                 streams[backend] = sampler.sample_batch(90)
             finally:
@@ -176,24 +110,6 @@ class TestWithinKernelByteIdentity:
                 np.array_equal(a, b)
                 for a, b in zip(streams["serial"], streams[backend])
             ), backend
-
-    def test_sharded_rejects_unregistered_kernel_instances(self, small_wc_graph):
-        """Workers rebuild kernels by name, so an instance the registry
-        doesn't hold must fail at construction, not mid-batch (or worse,
-        silently swap streams)."""
-
-        class RogueScalar(ScalarKernel):
-            pass
-
-        with pytest.raises(SamplingError, match="registered"):
-            ShardedSampler(small_wc_graph, "IC", 2, seed=SEED, kernel=RogueScalar())
-
-    def test_kernels_produce_different_ic_streams(self, viral_graph):
-        """Sanity that the stream_id split is not vacuous: on a graph
-        with branching frontiers the draw orders genuinely diverge."""
-        a = make_sampler(viral_graph, "IC", SEED, kernel="scalar").sample_batch(120)
-        b = make_sampler(viral_graph, "IC", SEED, kernel="vectorized").sample_batch(120)
-        assert any(not np.array_equal(x, y) for x, y in zip(a, b))
 
 
 class TestVectorizedCorrectness:
@@ -232,9 +148,9 @@ class TestVectorizedCorrectness:
 
 
 class TestDistributionalAgreement:
-    """Cross-kernel agreement is statistical, not byte-level: same RR-set
-    law, verified on sizes (KS) and on the influence estimates the
-    algorithms actually consume."""
+    """Agreement across independent seeds is statistical, not byte-level:
+    same RR-set law, verified on sizes (KS) and on the influence
+    estimates the algorithms actually consume."""
 
     _SETS = 1200
 
@@ -280,74 +196,34 @@ class TestDistributionalAgreement:
 class TestStreamIdentityPlumbing:
     def test_state_dict_carries_stream_id(self, small_wc_graph):
         sampler = make_sampler(small_wc_graph, "IC", SEED, kernel="vectorized")
-        assert sampler.state_dict()["stream_id"] == "vectorized-v2"
+        assert sampler.state_dict()["stream_id"] == "v3"
 
-    def test_cross_kernel_restore_is_rejected_plain(self, small_wc_graph):
-        state = make_sampler(small_wc_graph, "IC", SEED, kernel="vectorized").state_dict()
-        scalar = make_sampler(small_wc_graph, "IC", SEED)
-        with pytest.raises(SamplingError, match="byte-compatible"):
-            scalar.load_state_dict(state)
-
-    def test_cross_kernel_restore_is_rejected_sharded(self, small_wc_graph):
-        donor = ShardedSampler(small_wc_graph, "IC", 2, seed=SEED, kernel="scalar")
-        try:
-            state = donor.state_dict()
-        finally:
-            donor.close()
-        heir = ShardedSampler(small_wc_graph, "IC", 2, seed=SEED, kernel="vectorized")
-        try:
-            with pytest.raises(SamplingError, match="byte-compatible"):
-                heir.load_state_dict(state)
-        finally:
-            heir.close()
-
-    def test_unstamped_state_means_the_legacy_stream(self, small_wc_graph):
-        """States with no stream_id were captured by the v1 (per-worker
-        spawned) scalar stream — not byte-compatible with any current
-        sampler, so restoring one must be refused, naming scalar-v1."""
-        from repro.sampling.kernels import LEGACY_STREAM_ID
-
+    def test_states_of_earlier_derivations_are_refused(self, small_wc_graph):
+        """v2 states (one stream_id per kernel) and unstamped v1 states
+        were captured on other streams: refused, never restored."""
         sampler = make_sampler(small_wc_graph, "IC", SEED)
-        unstamped = sampler.state_dict()
+        state = sampler.state_dict()
+        for stale in ("scalar-v2", "batched-v2"):
+            with pytest.raises(SamplingError, match="byte-compatible"):
+                sampler.load_state_dict(dict(state, stream_id=stale))
+        unstamped = dict(state)
         del unstamped["stream_id"]
-        with pytest.raises(SamplingError, match="scalar-v1"):
-            sampler.load_state_dict(unstamped)
         with pytest.raises(SamplingError, match="byte-compatible"):
-            check_stream_id({}, ScalarKernel().stream_id)
-        check_stream_id({}, LEGACY_STREAM_ID)  # what the blank means
+            sampler.load_state_dict(unstamped)
 
     def test_collections_and_snapshots_inherit_stream_id(self, small_wc_graph):
         from repro.sampling.rr_collection import RRCollection
 
-        pool = RRCollection(small_wc_graph.n, stream_id="vectorized-v2")
+        pool = RRCollection(small_wc_graph.n, stream_id="v3")
         pool.extend([np.array([1, 2]), np.array([3])])
-        assert pool.snapshot().stream_id == "vectorized-v2"
+        assert pool.snapshot().stream_id == "v3"
 
-    def test_context_pool_is_stamped_with_the_kernel_stream(self, small_wc_graph):
+    def test_context_pool_is_stamped_with_the_stream(self, small_wc_graph):
         from repro.engine.context import SamplingContext
 
         with SamplingContext(small_wc_graph, "IC", seed=SEED, kernel="vectorized") as ctx:
-            assert ctx.pool.stream_id == "vectorized-v2"
+            assert ctx.pool.stream_id == "v3"
             assert ctx.fresh_verifier is not None  # API intact
-
-    def test_spill_stamps_differ_across_kernels(self, small_wc_graph):
-        from repro.service.store import make_stamp, stamp_digest
-
-        stamps = {}
-        for kernel in KERNEL_NAMES:
-            sampler = make_sampler(small_wc_graph, "LT", SEED, kernel=kernel)
-            stamps[kernel] = make_stamp(
-                small_wc_graph, model="LT", stream="direct", horizon=None,
-                seed=SEED, sampler=sampler,
-            )
-        # Every v2 stamp names its full stream token: legacy files carry
-        # other keys entirely, so digests can never collide across the
-        # derivation generations — a clean miss by construction.
-        assert stamps["scalar"]["stream_id"] == "scalar-v2"
-        assert stamps["vectorized"]["stream_id"] == "vectorized-v2"
-        assert "workers" not in stamps["scalar"]
-        assert "sampler_kind" not in stamps["scalar"]
-        assert stamp_digest(stamps["scalar"]) != stamp_digest(stamps["vectorized"])
 
     def test_legacy_v1_spill_is_a_clean_cache_miss(self, small_wc_graph, tmp_path):
         """A spill stamped by the legacy (seed, workers)-derived streams
@@ -384,87 +260,164 @@ class TestStreamIdentityPlumbing:
         cold = dssa(small_wc_graph, 3, epsilon=0.25, model="LT", seed=SEED)
         assert warm.seeds == cold.seeds and warm.samples == cold.samples
 
+    def test_v2_spill_is_a_clean_cache_miss(self, small_wc_graph, tmp_path):
+        """A spill stamped with a v2 per-kernel stream_id misses too."""
+        from repro.engine import InfluenceEngine
+        from repro.sampling.rr_collection import RRCollection
+        from repro.service.store import PoolStore, make_stamp
+
+        current = make_stamp(
+            small_wc_graph, model="LT", stream="direct", horizon=None, seed=SEED,
+            sampler=make_sampler(small_wc_graph, "LT", SEED), graph_version=None,
+        )
+        v2_stamp = dict(current, stream_id="scalar-v2")
+        junk = RRCollection(small_wc_graph.n)
+        junk.extend([np.arange(4, dtype=np.int32)] * 40)
+        PoolStore(tmp_path).save(v2_stamp, junk, {"stream_id": "scalar-v2"})
+        with InfluenceEngine(
+            small_wc_graph, model="LT", seed=SEED, spill_dir=tmp_path
+        ) as engine:
+            engine.maximize(3, epsilon=0.25)
+            assert engine.pool_manager.reattached_for(engine.session) == 0
+            assert engine.stats.rr_sampled > 0
+
     def test_pools_with_different_stream_ids_do_not_collide(self, small_wc_graph):
-        """Same (namespace, stream, model, horizon), different kernel:
+        """Same (namespace, stream, model, horizon), different stream_id:
         the manager must hold two independent pools."""
         from repro.engine.context import SamplingContext
         from repro.service.pool import PoolKey, PoolManager
 
         manager = PoolManager()
 
-        def factory(kernel):
-            def build():
-                return (
-                    SamplingContext(small_wc_graph, "LT", seed=SEED, kernel=kernel),
-                    SEED,
-                )
-            return build
+        def build():
+            return SamplingContext(small_wc_graph, "LT", seed=SEED), SEED
 
-        key_scalar = PoolKey("s", "direct", "LT", None, "scalar-v2")
-        key_vector = PoolKey("s", "direct", "LT", None, "vectorized-v2")
-        with manager.query(key_scalar, factory("scalar")) as view:
+        key_a = PoolKey("s", "direct", "LT", None, "v3", 0)
+        key_b = PoolKey("s", "direct", "LT", None, "v2", 0)
+        with manager.query(key_a, build) as view:
             view.require(30)
-        with manager.query(key_vector, factory("vectorized")) as view:
+        with manager.query(key_b, build) as view:
             view.require(10)
         sizes = manager.pool_sizes("s")
         assert sizes == {
-            ("direct", "LT", None, "scalar-v2", 0): 30,
-            ("direct", "LT", None, "vectorized-v2", 0): 10,
+            ("direct", "LT", None, "v3", 0): 30,
+            ("direct", "LT", None, "v2", 0): 10,
         }
         manager.close()
 
 
-class TestVectorizedSpillReattach:
-    """A vectorized-kernel pool round-trips through service/store.py:
-    spill on close, reattach on the next session with the same stream
-    identity — and never onto a scalar session."""
+def _spill_run(graph, tmp_path, kernel, model="IC"):
+    """One spilling engine session: (result, sets reattached, sets sampled)."""
+    from repro.engine import InfluenceEngine
 
-    def _run(self, graph, tmp_path, kernel, seed=SEED):
-        from repro.engine import InfluenceEngine
+    with InfluenceEngine(
+        graph, model=model, seed=SEED, kernel=kernel, spill_dir=tmp_path
+    ) as engine:
+        result = engine.maximize(3, epsilon=0.25)
+        return (
+            result,
+            engine.pool_manager.reattached_for(engine.session),
+            engine.stats.rr_sampled,
+        )
 
-        with InfluenceEngine(
-            graph, model="IC", seed=seed, kernel=kernel, spill_dir=tmp_path
-        ) as engine:
-            result = engine.maximize(3, epsilon=0.25)
-            reattached = engine.pool_manager.reattached_for(engine.session)
-            sampled = engine.stats.rr_sampled
-        return result, reattached, sampled
 
-    def test_vectorized_pool_survives_restart(self, viral_graph, tmp_path):
-        cold, reattached_cold, sampled_cold = self._run(viral_graph, tmp_path, "vectorized")
+class TestSpillReattach:
+    """A pool round-trips through service/store.py: spill on close,
+    reattach on the next session with the same stream identity."""
+
+    def test_pool_survives_restart(self, viral_graph, tmp_path):
+        cold, reattached_cold, sampled_cold = _spill_run(viral_graph, tmp_path, "vectorized")
         assert reattached_cold == 0 and sampled_cold > 0
-        warm, reattached_warm, sampled_warm = self._run(viral_graph, tmp_path, "vectorized")
+        warm, reattached_warm, sampled_warm = _spill_run(viral_graph, tmp_path, "vectorized")
         assert reattached_warm >= cold.optimization_samples
         assert sampled_warm == 0  # fully served from the reattached pool
         assert warm.seeds == cold.seeds and warm.samples == cold.samples
         assert warm.influence == cold.influence
 
-    def test_scalar_session_ignores_the_vectorized_spill(self, viral_graph, tmp_path):
-        self._run(viral_graph, tmp_path, "vectorized")
-        _, reattached, sampled = self._run(viral_graph, tmp_path, "scalar")
-        assert reattached == 0  # different stream_id => different stamp
-        assert sampled > 0
-
     def test_spilled_file_embeds_the_stream_position(self, viral_graph, tmp_path):
-        from repro.service.store import PoolStore
-
-        self._run(viral_graph, tmp_path, "vectorized")
-        store = PoolStore(tmp_path)
-        files = store.files()
-        assert files
         import json
 
+        from repro.service.store import PoolStore
+
+        _spill_run(viral_graph, tmp_path, "vectorized")
+        files = PoolStore(tmp_path).files()
+        assert files
         with np.load(files[0]) as archive:
             header = json.loads(bytes(archive["header"]).decode())
-        assert header["stamp"]["stream_id"] == "vectorized-v2"
-        assert header["sampler_state"]["stream_id"] == "vectorized-v2"
+        assert header["stamp"]["stream_id"] == "v3"
+        assert header["sampler_state"]["stream_id"] == "v3"
+
+
+class TestCrossNameIdentity:
+    """Every accepted kernel name is the same stream: the same bytes on
+    IC, LT and WRIS roots at every horizon, and a pool spilled under one
+    name reattaches under another without sampling a set."""
+
+    @pytest.mark.parametrize("max_hops", [None, 0, 2])
+    @pytest.mark.parametrize("model,weighted", [("IC", False), ("LT", False), ("IC", True)])
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_every_name_gives_the_same_bytes(
+        self, medium_wc_graph, name, model, weighted, max_hops
+    ):
+        roots = None
+        if weighted:
+            roots = WeightedRoots(np.random.default_rng(9).random(medium_wc_graph.n) + 0.1)
+        stream = make_sampler(
+            medium_wc_graph, model, SEED, roots=roots, max_hops=max_hops, kernel=name
+        ).sample_batch(150)
+        reference = reference_block(
+            make_sampler(medium_wc_graph, model, SEED, roots=roots, max_hops=max_hops),
+            np.arange(150),
+        )
+        assert same_sets(stream, reference)
+
+    def test_sharded_samplers_ignore_the_name(self, medium_wc_graph):
+        # A name stops at the coordinator (no worker is told one), so every
+        # name's fleet streams the plain sampler's bytes.
+        for model in ("IC", "LT"):
+            plain = make_sampler(medium_wc_graph, model, SEED).sample_batch(60)
+            for name in ALL_NAMES:
+                with ShardedSampler(
+                    medium_wc_graph, model, 2, seed=SEED, backend="thread", kernel=name
+                ) as sampler:
+                    assert same_sets(sampler.sample_batch(60), plain), (model, name)
+
+    @pytest.mark.parametrize(
+        "spilled,reattached", list(zip(ALL_NAMES, ALL_NAMES[1:] + ALL_NAMES[:1]))
+    )
+    def test_pool_spilled_under_one_name_reattaches_under_another(
+        self, medium_wc_graph, tmp_path, spilled, reattached
+    ):
+        cold, _, sampled_cold = _spill_run(medium_wc_graph, tmp_path, spilled)
+        assert sampled_cold > 0
+        warm, reattached_warm, sampled_warm = _spill_run(medium_wc_graph, tmp_path, reattached)
+        assert reattached_warm > 0
+        assert sampled_warm == 0  # fully served from the other name's spill
+        assert warm.seeds == cold.seeds and warm.samples == cold.samples
+
+    def test_run_record_carries_the_given_name_and_one_stream_id(self, medium_wc_graph):
+        from repro.experiments.runner import run_algorithm
+
+        record = run_algorithm(
+            "D-SSA", medium_wc_graph, 2, model="IC", epsilon=0.25,
+            seed=SEED, kernel="auto",
+        )
+        assert record.kernel == "auto"
+        assert record.stream_id == "v3"
+
+    def test_resolve_kernel_validates_names_only(self):
+        assert resolve_kernel("vectorized") is KERNELS["vectorized"]
+        assert resolve_kernel(None) is KERNELS["scalar"]
+        assert resolve_kernel("auto") is KERNELS["auto"]
+        with pytest.raises(SamplingError):
+            resolve_kernel("simd")
 
 
 class TestBatchCompositionInvariance:
-    """The batched kernels' contract: set ``g``'s bytes are a pure
-    function of the seed — identical whether ``g`` is computed alone,
-    in a block of 7, or in a block of 64, pinned or not
-    (``docs/INVARIANTS.md``, batch-composition invariance)."""
+    """Set ``g``'s bytes are a pure function of the seed — identical
+    whether ``g`` is computed alone, in a block of 7, or in a block of
+    64, pinned or not (``docs/INVARIANTS.md``, batch-composition
+    invariance), and equal to the per-set reference."""
 
     _SETS = 128
 
@@ -484,9 +437,8 @@ class TestBatchCompositionInvariance:
     ):
         sampler = make_sampler(medium_wc_graph, model, SEED, kernel=kernel)
         indices = np.arange(self._SETS, dtype=np.int64)
-        reference = [sampler.sample_at(int(g)) for g in indices]
-        got = self._blocked(sampler, indices, width)
-        assert all(np.array_equal(a, b) for a, b in zip(got, reference))
+        reference = reference_block(sampler, indices)
+        assert same_sets(self._blocked(sampler, indices, width), reference)
 
     @pytest.mark.parametrize(
         "model,kernel", [("IC", "batched"), ("LT", "lt-batched")]
@@ -502,6 +454,7 @@ class TestBatchCompositionInvariance:
         roots = rng.integers(0, medium_wc_graph.n, 40)
         roots[::2] = -1
         got = sampler.sample_block(indices, roots)
+        assert same_sets(got, reference_block(sampler, indices, roots))
         for g, r, rr in zip(indices, roots, got):
             want = (
                 sampler.sample_at(int(g))
@@ -509,55 +462,6 @@ class TestBatchCompositionInvariance:
                 else sampler.sample_at(int(g), int(r))
             )
             assert np.array_equal(rr, want)
-
-    def test_batched_ic_block_equals_vectorized_stream(self, medium_wc_graph):
-        a = make_sampler(
-            medium_wc_graph, "IC", SEED, kernel="batched"
-        ).sample_batch(300)
-        b = make_sampler(
-            medium_wc_graph, "IC", SEED, kernel="vectorized"
-        ).sample_batch(300)
-        assert all(np.array_equal(x, y) for x, y in zip(a, b))
-
-    def test_lt_batched_block_equals_scalar_walk_stream(self, medium_wc_graph):
-        a = make_sampler(
-            medium_wc_graph, "LT", SEED, kernel="lt-batched"
-        ).sample_batch(300)
-        b = make_sampler(
-            medium_wc_graph, "LT", SEED, kernel="scalar"
-        ).sample_batch(300)
-        assert all(np.array_equal(x, y) for x, y in zip(a, b))
-
-    def test_weighted_roots_run_in_lockstep(self, medium_wc_graph):
-        from repro.sampling.roots import WeightedRoots
-
-        benefits = np.random.default_rng(9).random(medium_wc_graph.n) + 0.1
-        a = make_sampler(
-            medium_wc_graph, "IC", SEED, kernel="batched",
-            roots=WeightedRoots(benefits),
-        ).sample_batch(200)
-        b = make_sampler(
-            medium_wc_graph, "IC", SEED, kernel="vectorized",
-            roots=WeightedRoots(benefits),
-        ).sample_batch(200)
-        assert all(np.array_equal(x, y) for x, y in zip(a, b))
-
-    def test_exotic_root_distributions_fall_back_to_per_set(self, medium_wc_graph):
-        """A roots subclass may override sample(); the lane engine only
-        replicates the base implementations, so the block path must fall
-        back to per-set sampling — same bytes, no fast path."""
-        from repro.sampling.roots import UniformRoots
-
-        class Shifted(UniformRoots):
-            pass
-
-        sampler = make_sampler(
-            medium_wc_graph, "IC", SEED, kernel="batched",
-            roots=Shifted(medium_wc_graph.n),
-        )
-        got = sampler.sample_block(np.arange(50, dtype=np.int64))
-        want = [sampler.sample_at(g) for g in range(50)]
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
     @pytest.mark.parametrize("max_hops", [0, 1, 3])
     def test_hop_caps_apply_per_lane(self, medium_wc_graph, max_hops):
@@ -581,144 +485,14 @@ class TestBatchCompositionInvariance:
                 sharded.close()
             assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
+    def test_chunk_width_follows_the_running_coin_mean(self, er_graph):
+        """Wide sets get narrow chunks: the width is the coin budget over
+        the observed coins per set, never a fixed lane count."""
+        from repro.sampling.kernels import FIRST_LANES, LOCKSTEP_COINS, _lanes
 
-class TestBatchedStreamIdentity:
-    """batched-v2 / lt-batched-v2 thread the same identity plumbing as
-    the earlier kernels: state stamps, spill round-trips, restore
-    refusals."""
-
-    def test_state_dict_carries_batched_stream_ids(self, small_wc_graph):
-        ic = make_sampler(small_wc_graph, "IC", SEED, kernel="batched")
-        lt = make_sampler(small_wc_graph, "LT", SEED, kernel="lt-batched")
-        assert ic.state_dict()["stream_id"] == "batched-v2"
-        assert lt.state_dict()["stream_id"] == "lt-batched-v2"
-
-    @pytest.mark.parametrize("other", ["scalar", "vectorized", "lt-batched"])
-    def test_cross_kernel_restore_of_batched_state_is_refused(
-        self, small_wc_graph, other
-    ):
-        state = make_sampler(
-            small_wc_graph, "IC", SEED, kernel="batched"
-        ).state_dict()
-        heir = make_sampler(small_wc_graph, "IC", SEED, kernel=other)
-        with pytest.raises(SamplingError, match="byte-compatible"):
-            heir.load_state_dict(state)
-
-    def test_batched_pool_spill_reattach_round_trip(self, medium_wc_graph, tmp_path):
-        from repro.engine import InfluenceEngine
-
-        def run():
-            with InfluenceEngine(
-                medium_wc_graph, model="IC", seed=SEED, kernel="batched",
-                spill_dir=tmp_path,
-            ) as engine:
-                result = engine.maximize(3, epsilon=0.25)
-                return (
-                    result,
-                    engine.pool_manager.reattached_for(engine.session),
-                    engine.stats.rr_sampled,
-                )
-
-        cold, reattached_cold, sampled_cold = run()
-        assert reattached_cold == 0 and sampled_cold > 0
-        warm, reattached_warm, sampled_warm = run()
-        assert sampled_warm == 0  # fully served from the reattached pool
-        assert warm.seeds == cold.seeds and warm.samples == cold.samples
-
-    def test_scalar_session_ignores_the_batched_spill(self, medium_wc_graph, tmp_path):
-        from repro.engine import InfluenceEngine
-
-        with InfluenceEngine(
-            medium_wc_graph, model="IC", seed=SEED, kernel="batched",
-            spill_dir=tmp_path,
-        ) as engine:
-            engine.maximize(3, epsilon=0.25)
-        with InfluenceEngine(
-            medium_wc_graph, model="IC", seed=SEED, kernel="scalar",
-            spill_dir=tmp_path,
-        ) as engine:
-            engine.maximize(3, epsilon=0.25)
-            assert engine.pool_manager.reattached_for(engine.session) == 0
-            assert engine.stats.rr_sampled > 0
-
-
-class TestAutoResolution:
-    """'auto' resolves deterministically to a concrete kernel before
-    anything identity-bearing sees a name."""
-
-    def test_lt_always_takes_the_lockstep_walk(self, medium_wc_graph):
-        kernel = resolve_kernel("auto", graph=medium_wc_graph, model="LT", seed=1)
-        assert isinstance(kernel, LTBatchedKernel)
-
-    def test_small_set_ic_takes_batched(self, medium_wc_graph):
-        kernel = resolve_kernel(
-            "auto", graph=medium_wc_graph, model="IC", seed=SEED
-        )
-        assert isinstance(kernel, BatchedKernel)
-        assert not isinstance(kernel, LTBatchedKernel)
-
-    def test_viral_ic_takes_vectorized(self, er_graph):
-        viral = assign_constant_weights(er_graph, 0.9)
-        kernel = resolve_kernel("auto", graph=viral, model="IC", seed=SEED)
-        assert isinstance(kernel, VectorizedKernel)
-        assert not isinstance(kernel, BatchedKernel)
-
-    def test_hub_heavy_small_sets_take_vectorized(self):
-        # Bidirectional star under weighted cascade: every RR set is
-        # tiny (the hub's in-edges almost never fire), but any set
-        # containing the hub flips one coin per leaf — mean coin volume,
-        # not mean set size, is what prices the lane replica's per-coin
-        # cost, so auto must route this off the batched kernel.
-        from repro.graph.builder import from_edges
-        from repro.graph.weights import assign_weighted_cascade
-
-        leaves = 600
-        edges = [(0, leaf) for leaf in range(1, leaves + 1)]
-        edges += [(leaf, 0) for leaf in range(1, leaves + 1)]
-        star = assign_weighted_cascade(from_edges(edges))
-        kernel = resolve_kernel("auto", graph=star, model="IC", seed=SEED)
-        assert isinstance(kernel, VectorizedKernel)
-
-    def test_batch_width_one_means_scalar(self, medium_wc_graph):
-        kernel = resolve_kernel(
-            "auto", graph=medium_wc_graph, model="IC", seed=SEED, batch_width=1
-        )
-        assert isinstance(kernel, ScalarKernel)
-
-    def test_concrete_names_pass_through_without_a_graph(self):
-        assert resolve_kernel("vectorized") is KERNELS["vectorized"]
-        assert resolve_kernel(None) is KERNELS["scalar"]
-
-    def test_auto_without_a_workload_is_rejected(self):
-        with pytest.raises(SamplingError, match="graph"):
-            resolve_kernel("auto")
-
-    def test_sampler_resolves_auto_to_a_concrete_stream(self, medium_wc_graph):
-        sampler = make_sampler(medium_wc_graph, "IC", SEED, kernel="auto")
-        assert sampler.stream_id == "batched-v2"
-        # and the stream equals the resolved kernel's, not a new one
-        direct = make_sampler(medium_wc_graph, "IC", SEED, kernel="batched")
-        assert all(
-            np.array_equal(a, b)
-            for a, b in zip(sampler.sample_batch(50), direct.sample_batch(50))
-        )
-
-    def test_engine_resolves_auto_once_for_the_session(self, medium_wc_graph):
-        from repro.engine import InfluenceEngine
-
-        with InfluenceEngine(
-            medium_wc_graph, model="IC", seed=SEED, kernel="auto"
-        ) as engine:
-            assert engine.kernel.name == "batched"
-            result = engine.maximize(2, epsilon=0.25)
-            assert result.seeds
-
-    def test_run_record_provenance_carries_the_resolved_name(self, medium_wc_graph):
-        from repro.experiments.runner import run_algorithm
-
-        record = run_algorithm(
-            "D-SSA", medium_wc_graph, 2, model="IC", epsilon=0.25,
-            seed=SEED, kernel="auto",
-        )
-        assert record.kernel == "batched"
-        assert record.stream_id == "batched-v2"
+        sampler = make_sampler(assign_constant_weights(er_graph, 0.9), "IC", SEED)
+        assert _lanes(sampler) == FIRST_LANES
+        sampler.sample_batch(50)
+        sets, coins = sampler._seen
+        assert sets == 50 and coins > 0
+        assert _lanes(sampler) == max(1, int(LOCKSTEP_COINS * sets / coins))

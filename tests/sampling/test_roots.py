@@ -11,14 +11,14 @@ class TestUniformRoots:
     def test_range(self):
         roots = UniformRoots(10)
         rng = np.random.default_rng(1)
-        draws = roots.sample_many(rng, 1000)
+        draws = roots.pick(rng.random(1000))
         assert draws.min() >= 0
         assert draws.max() < 10
 
     def test_approximately_uniform(self):
         roots = UniformRoots(5)
         rng = np.random.default_rng(2)
-        counts = np.bincount(roots.sample_many(rng, 20_000), minlength=5)
+        counts = np.bincount(roots.pick(rng.random(20_000)), minlength=5)
         assert counts.min() > 0.8 * 4000
         assert counts.max() < 1.2 * 4000
 
@@ -30,9 +30,9 @@ class TestUniformRoots:
             UniformRoots(0)
 
     def test_single_sample(self):
+        # floor(u * n), with the top of [0, 1) still inside the range.
         roots = UniformRoots(3)
-        rng = np.random.default_rng(3)
-        assert 0 <= roots.sample(rng) < 3
+        assert roots.pick(np.array([0.0, 0.5, np.nextafter(1.0, 0.0)])).tolist() == [0, 1, 2]
 
 
 class TestWeightedRoots:
@@ -40,7 +40,7 @@ class TestWeightedRoots:
         benefits = np.array([1.0, 0.0, 3.0])
         roots = WeightedRoots(benefits)
         rng = np.random.default_rng(4)
-        draws = roots.sample_many(rng, 40_000)
+        draws = roots.pick(rng.random(40_000))
         counts = np.bincount(draws, minlength=3)
         assert counts[1] == 0
         assert counts[2] / counts[0] == pytest.approx(3.0, rel=0.1)
@@ -49,7 +49,7 @@ class TestWeightedRoots:
         benefits = np.array([0.0, 1.0, 0.0, 1.0])
         roots = WeightedRoots(benefits)
         rng = np.random.default_rng(5)
-        draws = roots.sample_many(rng, 5000)
+        draws = roots.pick(rng.random(5000))
         assert set(np.unique(draws)) <= {1, 3}
 
     def test_total_benefit(self):
@@ -81,5 +81,4 @@ class TestWeightedRoots:
 
     def test_single_sample_in_support(self):
         roots = WeightedRoots(np.array([0.0, 5.0]))
-        rng = np.random.default_rng(6)
-        assert roots.sample(rng) == 1
+        assert roots.pick(np.array([0.0, np.nextafter(1.0, 0.0)])).tolist() == [1, 1]

@@ -4,8 +4,8 @@ N threads issuing interleaved ``maximize``/``sweep``/``estimate`` queries
 against one service must return byte-identical seeds/samples to the same
 queries run sequentially on a fresh engine at the same seed — for
 SSA/D-SSA/IMM across the serial and process execution backends, and
-under both sampling kernels (the guarantee is per-kernel; the
-interleaving tests re-run on each).
+under two kernel names (which select nothing; the interleaving tests
+re-run on each).
 """
 
 from concurrent.futures import ThreadPoolExecutor

@@ -1,5 +1,7 @@
 """PoolManager semantics: snapshots, budgets, LRU eviction."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -73,7 +75,7 @@ class TestBudget:
         with manager.query(_key(horizon=None), _factory(small_wc_graph)) as view:
             view.require(100)
             # the horizon=2 pool is idle and older -> evicted; this one is busy
-            assert ("direct", "LT", 2, "scalar-v2", 0) not in manager.pool_sizes("s")
+            assert ("direct", "LT", 2, "v3", 0) not in manager.pool_sizes("s")
             assert len(view.pool) >= 0  # snapshot still usable mid-flight
         assert manager.evictions_for("s") == 2
         assert manager.pool_sizes("s") == {}
@@ -93,13 +95,13 @@ class TestBudget:
         assert manager.total_bytes() <= budget
         assert manager.evictions_for("s") >= 1
         # the survivor is the most recently used pool (LRU eviction order)
-        assert ("direct", "LT", None, "scalar-v2", 0) in manager.pool_sizes("s")
+        assert ("direct", "LT", None, "v3", 0) in manager.pool_sizes("s")
 
     def test_inflight_pools_never_evicted(self, small_wc_graph):
         manager = PoolManager(budget_bytes=1)
         with manager.query(_key(), _factory(small_wc_graph)) as view:
             view.require(200)  # far over budget, but this query is in flight
-            assert ("direct", "LT", None, "scalar-v2", 0) in manager.pool_sizes("s")
+            assert ("direct", "LT", None, "v3", 0) in manager.pool_sizes("s")
             assert len(view.require(250)) == 250  # keeps answering correctly
         # once idle, the budget wins
         assert manager.pool_sizes("s") == {}
@@ -151,8 +153,9 @@ class TestBudget:
         from repro.service.store import PoolStore
 
         (path,) = PoolStore(tmp_path).files()
-        loaded = PoolStore(tmp_path).load_file(path)
-        assert loaded["count"] == 400  # the full prefix, not the truncated one
+        with np.load(path) as archive:
+            header = json.loads(bytes(archive["header"]).decode())
+        assert header["count"] == 400  # the full prefix, not the truncated one
 
         # and a fresh manager reattaches all 400 sets from it
         fresh = PoolManager(spill_dir=tmp_path)
@@ -180,10 +183,10 @@ class TestBudget:
             view.require(40)
         with manager.query(_key("b"), _factory(small_wc_graph, seed=7)) as view:
             view.require(10)
-        assert manager.pool_sizes("a") == {("direct", "LT", None, "scalar-v2", 0): 40}
-        assert manager.pool_sizes("b") == {("direct", "LT", None, "scalar-v2", 0): 10}
+        assert manager.pool_sizes("a") == {("direct", "LT", None, "v3", 0): 40}
+        assert manager.pool_sizes("b") == {("direct", "LT", None, "v3", 0): 10}
         assert manager.bytes_for("a") > 0
         manager.release_namespace("a")
         assert manager.pool_sizes("a") == {}
-        assert manager.pool_sizes("b") == {("direct", "LT", None, "scalar-v2", 0): 10}
+        assert manager.pool_sizes("b") == {("direct", "LT", None, "v3", 0): 10}
         manager.close()

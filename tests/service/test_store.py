@@ -35,7 +35,7 @@ class TestStampsAndSignatures:
             small_wc_graph, model="LT", stream="direct", horizon=None,
             seed=11, sampler=sampler,
         )
-        assert stamp is not None and stamp["stream_id"] == "scalar-v2"
+        assert stamp is not None and stamp["stream_id"] == "v3"
 
     def test_stamp_identity_is_worker_free(self, small_wc_graph):
         """Pools sampled at any worker count / backend share one stamp —
@@ -97,6 +97,32 @@ class TestStoreRoundtrip:
         with pytest.raises(PoolStoreError):
             store.load(stamp)
 
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [("format_version", 99, "format_version"), ("count", 5, "offsets do not match")],
+    )
+    def test_header_checks_run_through_load(
+        self, small_wc_graph, tmp_path, field, value, message
+    ):
+        """A file of another format version, or whose offsets disagree
+        with its set count, is refused by ``load`` — never half-read."""
+        import json
+
+        store = PoolStore(tmp_path)
+        stamp = self._stamp(small_wc_graph)
+        pool = RRCollection(small_wc_graph.n)
+        pool.extend([np.arange(3, dtype=np.int32)] * 4)
+        path = store.save(stamp, pool, {"stream_id": "v3"})
+        with np.load(path) as archive:
+            arrays = {key: archive[key] for key in archive.files}
+        header = json.loads(bytes(arrays["header"]).decode())
+        header[field] = value
+        arrays["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
+        with open(path, "wb") as handle:
+            np.savez(handle, **arrays)
+        with pytest.raises(PoolStoreError, match=message):
+            store.load(stamp)
+
 
 def _legacy_spill(store, graph, *, seed=SEED, workers=2, count=30):
     """Forge a spill file exactly as a v1 release would have written it:
@@ -127,8 +153,8 @@ def _legacy_spill(store, graph, *, seed=SEED, workers=2, count=30):
 
 
 class TestLegacySpillMigration:
-    """scalar-v1 stamped spills: readable read-only, never reattached,
-    never silently mixed into a seed-pure stream."""
+    """v1 stamped spills: never reattached, never silently mixed into a
+    seed-pure stream."""
 
     def test_legacy_stamp_never_matches_a_current_lookup(self, small_wc_graph, tmp_path):
         from repro.sampling.base import make_sampler
@@ -140,22 +166,6 @@ class TestLegacySpillMigration:
             seed=SEED, sampler=make_sampler(small_wc_graph, "LT", SEED),
         )
         assert store.load(current) is None  # clean cache miss
-
-    def test_legacy_file_loads_read_only(self, small_wc_graph, tmp_path):
-        from repro.exceptions import SamplingError
-        from repro.sampling.base import make_sampler
-
-        store = PoolStore(tmp_path)
-        path, stamp, _ = _legacy_spill(store, small_wc_graph, count=30)
-        loaded = store.load_file(path)
-        assert loaded["count"] == 30 and len(loaded["sets"]) == 30
-        assert loaded["stamp"] == stamp
-        for rr in loaded["sets"]:
-            assert np.array_equal(rr, np.arange(4, dtype=np.int32))
-        # ...but its stream cannot be continued by a seed-pure sampler
-        sampler = make_sampler(small_wc_graph, "LT", SEED)
-        with pytest.raises(SamplingError, match="legacy"):
-            sampler.load_state_dict(loaded["sampler_state"])
 
     def test_kernel_mismatch_is_a_miss_not_a_mix(self, small_wc_graph, tmp_path):
         """Same (graph, seed), different stream_id: nothing reattaches,
@@ -171,13 +181,6 @@ class TestLegacySpillMigration:
             engine.maximize(3, epsilon=EPS)
             assert engine.pool_manager.reattached_for(engine.session) == 0
             assert engine.stats.rr_sampled > 0
-
-    def test_corrupt_legacy_file_raises_cleanly(self, tmp_path):
-        store = PoolStore(tmp_path)
-        bad = tmp_path / "pool-deadbeef.npz"
-        bad.write_bytes(b"not an npz")
-        with pytest.raises(PoolStoreError):
-            store.load_file(bad)
 
 
 class TestGraphVersionMigration:

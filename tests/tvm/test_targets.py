@@ -60,7 +60,7 @@ class TestRootsIntegration:
         roots = group.roots_for(tiny_graph)
         assert roots.total_benefit == pytest.approx(4.0)
         rng = np.random.default_rng(1)
-        draws = roots.sample_many(rng, 8000)
+        draws = roots.pick(rng.random(8000))
         counts = np.bincount(draws, minlength=4)
         assert counts[0] == 0 and counts[3] == 0
         assert counts[2] / counts[1] == pytest.approx(3.0, rel=0.15)
