@@ -8,6 +8,8 @@ so the total work is O(Σ|R_j| + n·k) rather than O(n · k · Σ|R_j|).  The
 sets containing each pick come from the pool's node→set index
 (:meth:`~repro.sampling.rr_collection.RRCollection.node_index`), which
 the pool keeps current across calls instead of every call re-sorting it.
+Runs are memoized per range in the pool's greedy memo
+(:class:`~repro.sampling.rr_collection.GreedyMemo`).
 """
 
 from __future__ import annotations
@@ -66,10 +68,28 @@ def max_coverage(
     If coverage saturates before k picks (every set already covered), the
     remaining seeds are filled with the lowest-index unchosen nodes — the
     paper's algorithms always return exactly k seeds.
+
+    Greedy is prefix-closed: the first k picks and marginals of a longer
+    run are exactly the k run's, fill included.  So a range whose memo
+    entry holds at least k picks is answered from it, and a run is
+    published only when it is longer than the entry already stored.
     """
     n = collection.n
     if not 1 <= k <= n:
         raise ParameterError(f"k must satisfy 1 <= k <= n={n}, got {k}")
+    end = collection.resolve_range(start, end)
+    memo = collection.greedy_memo
+    run = memo.get(start, end)
+    if run is None or run[0].size < k:
+        run = _greedy(collection, k, start, end)
+        memo.publish(start, end, *run)
+    seeds, marginals = run[0][:k], run[1][:k]
+    return MaxCoverageResult(seeds.tolist(), int(marginals.sum()), end - start, marginals.tolist())
+
+
+def _greedy(collection: RRCollection, k: int, start: int, end: int) -> tuple[np.ndarray, ...]:
+    """Read-only ``(seeds, marginals)`` of greedy's first k picks."""
+    n = collection.n
     flat, offsets = collection.flat_view(start, end)
     num_sets = len(offsets) - 1
     # The pool's node→set index; each pick's sets in the range are one
@@ -83,7 +103,6 @@ def max_coverage(
 
     seeds: list[int] = []
     marginals: list[int] = []
-    total_covered = 0
 
     for _ in range(k):
         best = int(np.argmax(counts))
@@ -95,7 +114,6 @@ def max_coverage(
         containing = sets_in_range(postings, node_ptr, best, bounds) - bounds[0]
         newly = containing[~covered[containing]]
         marginals.append(int(newly.size))
-        total_covered += int(newly.size)
         covered[newly] = True
         if newly.size:
             touched = flat[concat_ranges(offsets[newly], offsets[newly + 1])]
@@ -111,9 +129,6 @@ def max_coverage(
                 if len(seeds) == k:
                     break
 
-    return MaxCoverageResult(
-        seeds=seeds,
-        coverage=total_covered,
-        num_sets=num_sets,
-        marginal_coverage=marginals,
-    )
+    run = np.array(seeds, dtype=np.int64), np.array(marginals, dtype=np.int64)
+    run[0].flags.writeable = run[1].flags.writeable = False
+    return run

@@ -20,11 +20,13 @@ compiled buffers are append-only (never mutated below the compiled
 length, replaced wholesale when they grow) and the index arrays are
 replaced, never written, so a snapshot taken while holding the writer's
 lock stays valid forever: later appends write past the snapshot's views
-or into fresh arrays the snapshot never sees.
+or into fresh arrays the snapshot never sees.  Snapshots share the pool's
+greedy memo (:class:`GreedyMemo`) the same way.
 """
 
 from __future__ import annotations
 
+import threading
 from collections.abc import Iterable, Sequence
 
 import numpy as np
@@ -106,16 +108,56 @@ def postings_hits(
     return hit
 
 
+class GreedyMemo:
+    """Longest greedy max-coverage run per set range of one pool generation.
+
+    Maps a resolved range ``(start, end)`` to read-only ``(seeds,
+    marginals)`` arrays.  Greedy is prefix-closed, so one stored run
+    answers every ``k`` up to its length.  A generation ends when the
+    pool drops it (``truncate``/``replace_many``); until then the sets of
+    a range never change, so an entry holds for every snapshot sharing
+    this memo.  Values are immutable and the lock guards only the map, so
+    readers publish without the pool lock.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._runs: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        self._nbytes = 0
+
+    def get(self, start: int, end: int) -> tuple[np.ndarray, np.ndarray] | None:
+        with self._lock:
+            return self._runs.get((start, end))
+
+    def publish(self, start: int, end: int, seeds: np.ndarray, marginals: np.ndarray) -> None:
+        """Store a run unless the range already holds one at least as long."""
+        with self._lock:
+            old = self._runs.get((start, end))
+            if old is not None:
+                if old[0].size >= seeds.size:
+                    return
+                self._nbytes -= old[0].nbytes + old[1].nbytes
+            self._runs[(start, end)] = (seeds, marginals)
+            self._nbytes += seeds.nbytes + marginals.nbytes
+
+    @property
+    def nbytes(self) -> int:
+        with self._lock:
+            return self._nbytes
+
+
 class _CoverageReadOps:
     """Coverage queries shared by the growable collection and its snapshots.
 
-    Implementations only need ``self.n``, ``flat_view(start, end)``
-    returning ``(flat entries, local offsets)`` for a set range, and
-    ``node_index()`` returning the ``(postings, node_ptr)`` node→set
-    index over at least every set they hold.
+    Implementations only need ``self.n``, ``self.greedy_memo``,
+    ``flat_view(start, end)`` returning ``(flat entries, local offsets)``
+    for a set range, ``_set_offsets()`` returning the global offsets of
+    every set they hold, and ``node_index()`` returning the ``(postings,
+    node_ptr)`` node→set index over at least every set they hold.
     """
 
     n: int
+    greedy_memo: GreedyMemo
 
     def flat_view(
         self, start: int = 0, end: int | None = None
@@ -125,7 +167,26 @@ class _CoverageReadOps:
     def node_index(self) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
-    def _range(self, start: int, end: int | None) -> int:
+    def _set_offsets(self) -> np.ndarray:
+        raise NotImplementedError
+
+    def memory_bytes(self, *, start: int = 0, end: int | None = None) -> int:
+        """Retained bytes of RR-set storage (the paper's memory driver).
+
+        ``start``/``end`` restrict the count to a set range, so a query
+        served from a larger session pool can report the footprint of
+        exactly the prefix it consumed (what a cold run would retain).
+        ``end`` is clamped to the stored sets; a range that starts
+        below 0 or past ``end`` holds nothing.
+        """
+        count = len(self)
+        end = count if end is None else min(end, count)
+        if not 0 <= start <= end:
+            return 0
+        offsets = self._set_offsets()
+        return 4 * int(offsets[end] - offsets[start])
+
+    def resolve_range(self, start: int, end: int | None) -> int:
         """Validate the set range ``[start, end)``; returns ``end``."""
         count = len(self)
         end = count if end is None else end
@@ -141,7 +202,7 @@ class _CoverageReadOps:
         Marks the seeds' in-range postings, so the cost is O(postings +
         sets in range) rather than O(entries in range).
         """
-        end = self._range(start, end)
+        end = self.resolve_range(start, end)
         seed_arr = np.asarray(list(seeds), dtype=np.int64)
         if seed_arr.size and (seed_arr.min() < 0 or seed_arr.max() >= self.n):
             raise SamplingError("seed id out of range in coverage query")
@@ -195,13 +256,15 @@ class RRCollection(_CoverageReadOps):
         self._drop_compiled()
 
     def _drop_compiled(self) -> None:
-        """Forget the compiled view and the index (rebuilt on next read).
+        """Forget the compiled view, the index and the greedy memo.
 
         Compiled flat view: geometrically grown append-only buffers, so
         keeping the view current is amortized O(1) per entry even under
         SSA/D-SSA's doubling loop (a full re-concatenation here used to
         make the loop O(total²) in entries).  Node→set index: postings
-        and per-node pointers over sets ``[0, _indexed_upto)``.
+        and per-node pointers over sets ``[0, _indexed_upto)``.  The view
+        and the index are rebuilt on the next read; the memo starts a new
+        generation empty.
         """
         self._flat_buf = np.zeros(0, dtype=np.int32)
         self._flat_len = 0
@@ -210,6 +273,7 @@ class RRCollection(_CoverageReadOps):
         self._postings = np.zeros(0, dtype=np.int32)
         self._node_ptr = np.zeros(self.n + 1, dtype=np.int64)
         self._indexed_upto = 0
+        self.greedy_memo = GreedyMemo()
 
     # ------------------------------------------------------------------
     # Growth
@@ -238,18 +302,8 @@ class RRCollection(_CoverageReadOps):
 
     @property
     def nbytes(self) -> int:
-        """Retained RR-set bytes, O(1) (int32 entries; buffers excluded)."""
-        return 4 * self._total_entries
-
-    def memory_bytes(self, *, start: int = 0, end: int | None = None) -> int:
-        """Retained bytes of RR-set storage (the paper's memory driver).
-
-        ``start``/``end`` restrict the count to a set range, so a query
-        served from a larger session pool can report the footprint of
-        exactly the prefix it consumed (what a cold run would retain).
-        """
-        end = len(self._sets) if end is None else min(end, len(self._sets))
-        return int(sum(arr.nbytes for arr in self._sets[start:end]))
+        """Retained bytes, O(1): int32 entries plus the greedy memo."""
+        return 4 * self._total_entries + self.greedy_memo.nbytes
 
     # ------------------------------------------------------------------
     # Flat compiled view
@@ -284,6 +338,9 @@ class RRCollection(_CoverageReadOps):
             self._compiled_upto = count
         return self._flat_buf[: self._flat_len], self._offsets_buf[: count + 1]
 
+    def _set_offsets(self) -> np.ndarray:
+        return self._compile()[1]
+
     def node_index(self) -> tuple[np.ndarray, np.ndarray]:
         """The node→set index over every stored set: ``(postings, node_ptr)``.
 
@@ -315,7 +372,7 @@ class RRCollection(_CoverageReadOps):
         Offsets are rebased so ``flat[offsets[i]:offsets[i+1]]`` is the
         i-th set of the range.
         """
-        end = self._range(start, end)
+        end = self.resolve_range(start, end)
         flat, offsets = self._compile()
         lo, hi = offsets[start], offsets[end]
         return flat[lo:hi], offsets[start : end + 1] - lo
@@ -323,11 +380,12 @@ class RRCollection(_CoverageReadOps):
     def truncate(self, keep: int) -> int:
         """Drop sets ``[keep, len)``, keeping the prefix ``[0, keep)``.
 
-        Returns the number of sets dropped.  The compiled buffers and the
-        index are *dropped*, not rewound: snapshots handed out earlier
-        keep their own (now orphaned) arrays, so truncation can never
-        corrupt a reader — the caller only needs to serialize with
-        writers, as for any append.  The next read rebuilds both.
+        Returns the number of sets dropped.  The compiled buffers, the
+        index and the greedy memo are *dropped*, not rewound: snapshots
+        handed out earlier keep their own (now orphaned) ones, so
+        truncation can never corrupt a reader — the caller only needs to
+        serialize with writers, as for any append.  The next read
+        rebuilds the view and the index.
         """
         keep = int(keep)
         if not 0 <= keep <= len(self._sets):
@@ -347,10 +405,10 @@ class RRCollection(_CoverageReadOps):
         a graph mutation, the invalidated sets — and only those — are
         recomputed via seed-pure ``sample_at`` and written back here,
         leaving every other set untouched.  Returns the number of sets
-        replaced.  Like :meth:`truncate`, the compiled buffers and the
-        index are dropped rather than patched, so snapshots handed out
-        earlier keep their own (now orphaned) arrays and stay valid; the
-        caller serializes with writers as for any append.
+        replaced.  Like :meth:`truncate`, the compiled buffers, the index
+        and the greedy memo are dropped rather than patched, so snapshots
+        handed out earlier keep their own (now orphaned) ones and stay
+        valid; the caller serializes with writers as for any append.
         """
         if not updates:
             return 0
@@ -377,8 +435,9 @@ class RRCollection(_CoverageReadOps):
         taking the snapshot (compilation and the index extension mutate
         the collection); the *returned* snapshot needs no lock —
         concurrent appends never touch the arrays it references.  It
-        shares the pool's index, which may cover sets past ``end``: every
-        reader bounds its slices by the snapshot's own range.
+        shares the pool's index and greedy memo, which may cover sets
+        past ``end``: every reader bounds its slices, and validates its
+        memo ranges, by the snapshot's own range.
         """
         end = len(self._sets) if end is None else end
         if not 0 <= end <= len(self._sets):
@@ -387,7 +446,7 @@ class RRCollection(_CoverageReadOps):
         flat, offsets = self._compile()
         return RRSnapshot(
             self.n, flat[: int(offsets[end])], offsets[: end + 1], postings, node_ptr,
-            stream_id=self.stream_id,
+            self.greedy_memo, stream_id=self.stream_id,
         )
 
 
@@ -395,14 +454,15 @@ class RRSnapshot(_CoverageReadOps):
     """Immutable prefix view of an :class:`RRCollection`.
 
     Supports the full read API the algorithm bodies use (coverage
-    queries, greedy max-coverage's ``flat_view`` and ``node_index``,
-    ``memory_bytes``), so a query can run against a frozen prefix while
-    the shared pool keeps growing under other queries' top-ups.
+    queries, greedy max-coverage's ``flat_view``, ``node_index`` and
+    ``greedy_memo``, ``memory_bytes``), so a query can run against a
+    frozen prefix while the shared pool keeps growing under other
+    queries' top-ups.
     """
 
     def __init__(
         self, n: int, flat: np.ndarray, offsets: np.ndarray,
-        postings: np.ndarray, node_ptr: np.ndarray,
+        postings: np.ndarray, node_ptr: np.ndarray, greedy_memo: GreedyMemo,
         *, stream_id: str | None = None,
     ) -> None:
         self.n = int(n)
@@ -410,6 +470,7 @@ class RRSnapshot(_CoverageReadOps):
         self._offsets = offsets
         self._postings = postings
         self._node_ptr = node_ptr
+        self.greedy_memo = greedy_memo
         self.stream_id = stream_id
 
     def __len__(self) -> int:
@@ -431,16 +492,13 @@ class RRSnapshot(_CoverageReadOps):
     def nbytes(self) -> int:
         return 4 * self.total_entries
 
-    def memory_bytes(self, *, start: int = 0, end: int | None = None) -> int:
-        end = len(self) if end is None else min(end, len(self))
-        if not 0 <= start <= end:
-            return 0
-        return int(4 * (self._offsets[end] - self._offsets[start]))
+    def _set_offsets(self) -> np.ndarray:
+        return self._offsets
 
     def flat_view(
         self, start: int = 0, end: int | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
-        end = self._range(start, end)
+        end = self.resolve_range(start, end)
         lo, hi = self._offsets[start], self._offsets[end]
         return self._flat[lo:hi], self._offsets[start : end + 1] - lo
 

@@ -1,7 +1,7 @@
 """Shared utilities: RNG management, timing, math helpers, formatting."""
 
 from repro.utils.rng import ensure_rng, spawn_rngs
-from repro.utils.timer import Stopwatch, Timer
+from repro.utils.timer import Timer
 from repro.utils.mathstats import (
     binomial_coefficient_ln,
     chernoff_lower_tail_samples,
@@ -20,7 +20,6 @@ from repro.utils.validation import (
 __all__ = [
     "ensure_rng",
     "spawn_rngs",
-    "Stopwatch",
     "Timer",
     "upsilon",
     "binomial_coefficient_ln",

@@ -25,41 +25,3 @@ class Timer:
 
     def __exit__(self, *exc_info: object) -> None:
         self.elapsed = time.perf_counter() - self._start
-
-
-class Stopwatch:
-    """Accumulating stopwatch with named laps.
-
-    The experiment runner uses one stopwatch per algorithm run and records
-    laps such as ``"sampling"`` and ``"selection"`` so reports can break a
-    run's cost down by phase.
-    """
-
-    def __init__(self) -> None:
-        self._laps: dict[str, float] = {}
-        self._running: dict[str, float] = {}
-
-    def start(self, name: str) -> None:
-        """Begin (or resume) the lap called ``name``."""
-        self._running[name] = time.perf_counter()
-
-    def stop(self, name: str) -> float:
-        """Stop lap ``name`` and return its accumulated total."""
-        if name not in self._running:
-            raise KeyError(f"lap {name!r} was never started")
-        delta = time.perf_counter() - self._running.pop(name)
-        self._laps[name] = self._laps.get(name, 0.0) + delta
-        return self._laps[name]
-
-    def lap(self, name: str) -> float:
-        """Accumulated seconds for lap ``name`` (0.0 if never recorded)."""
-        return self._laps.get(name, 0.0)
-
-    @property
-    def total(self) -> float:
-        """Sum of all completed laps."""
-        return sum(self._laps.values())
-
-    def as_dict(self) -> dict[str, float]:
-        """Snapshot of completed laps, for serializing into run records."""
-        return dict(self._laps)

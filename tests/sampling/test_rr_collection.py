@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.max_coverage import max_coverage
 from repro.exceptions import SamplingError
 from repro.sampling.rr_collection import RRCollection
 
@@ -26,6 +27,29 @@ class TestGrowth:
     def test_memory_bytes(self):
         coll = make_collection(5, [[0, 1, 2]])
         assert coll.memory_bytes() == 3 * 4  # int32 entries
+
+    def test_memory_bytes_matches_per_set_sum(self):
+        rng = np.random.default_rng(3)
+        sets = [
+            rng.choice(20, size=rng.integers(0, 6), replace=False).tolist()
+            for _ in range(40)
+        ]
+        coll = make_collection(20, sets)
+        for reader in (coll, coll.snapshot(), coll.snapshot(25)):
+            count = len(reader)
+            for _ in range(30):
+                start = int(rng.integers(0, count + 1))
+                end = int(rng.integers(start, count + 1))
+                want = sum(4 * len(s) for s in sets[start:end])
+                assert reader.memory_bytes(start=start, end=end) == want
+            # ends past the stored sets are clamped
+            tail = sum(4 * len(s) for s in sets[count - 3 : count])
+            assert reader.memory_bytes(start=count - 3, end=count + 50) == tail
+            assert reader.memory_bytes(end=10**6) == sum(4 * len(s) for s in sets[:count])
+            # a negative start holds nothing (not the tail a slice would give)
+            assert reader.memory_bytes(start=-5) == 0
+            assert reader.memory_bytes(start=-5, end=3) == 0
+            assert reader.memory_bytes(start=count, end=count - 1) == 0
 
     def test_invalid_n(self):
         with pytest.raises(SamplingError):
@@ -159,3 +183,48 @@ class TestGrowthAfterCompile:
         assert len(coll) == 3
         assert coll.coverage([1]) == 1
         assert [coll.coverage([1], start=i, end=i + 1) for i in range(3)] == [0, 1, 0]
+
+
+class TestGreedyMemo:
+    def test_nbytes_charges_the_memo_until_a_write_drops_it(self):
+        coll = make_collection(6, [[0, 1], [2], [1, 3], [4, 5, 0]])
+        entries_bytes = 4 * coll.total_entries
+        assert coll.nbytes == entries_bytes
+        max_coverage(coll, 3)
+        max_coverage(coll, 2, start=1, end=3)
+        memo_bytes = coll.greedy_memo.nbytes
+        assert memo_bytes > 0
+        assert coll.nbytes == entries_bytes + memo_bytes
+        coll.truncate(3)
+        assert coll.nbytes == 4 * coll.total_entries
+        max_coverage(coll, 2)
+        assert coll.nbytes > 4 * coll.total_entries
+        coll.replace_many({0: np.asarray([5], dtype=np.int32)})
+        assert coll.nbytes == 4 * coll.total_entries
+
+    def test_longest_run_is_kept_and_serves_every_shorter_k(self):
+        coll = make_collection(6, [[0, 1], [2], [1, 3], [4, 5, 0]])
+        long_run = max_coverage(coll, 5)
+        charged = coll.greedy_memo.nbytes
+        for k in range(1, 6):
+            short = max_coverage(coll, k)
+            assert short.seeds == long_run.seeds[:k]
+            assert short.marginal_coverage == long_run.marginal_coverage[:k]
+            assert short.coverage == sum(long_run.marginal_coverage[:k])
+        assert coll.greedy_memo.nbytes == charged  # shorter runs never replace it
+
+    def test_answers_are_fresh_lists(self):
+        coll = make_collection(4, [[0, 1], [2]])
+        first = max_coverage(coll, 2)
+        first.seeds.append(99)
+        first.marginal_coverage.clear()
+        again = max_coverage(coll, 2)
+        assert again.seeds == [0, 2] and again.marginal_coverage == [1, 1]
+
+    def test_snapshots_share_the_memo_of_their_generation(self):
+        coll = make_collection(6, [[0, 1], [2], [1, 3]])
+        before = coll.snapshot()
+        assert before.greedy_memo is coll.greedy_memo
+        coll.truncate(2)
+        assert before.greedy_memo is not coll.greedy_memo
+        assert coll.snapshot().greedy_memo is coll.greedy_memo

@@ -5,13 +5,15 @@ against one service must return byte-identical seeds/samples to the same
 queries run sequentially on a fresh engine at the same seed — for
 SSA/D-SSA/IMM across the serial and process execution backends, and
 under two kernel names (which select nothing; the interleaving tests
-re-run on each).
+re-run on each).  Warm D-SSA queries whose find halves coincide share
+one greedy memo entry per find half, before and after a mutation.
 """
 
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+import repro
 from repro.engine import InfluenceEngine
 from repro.service import InfluenceService
 
@@ -120,3 +122,48 @@ class TestConcurrentExactness:
             cold_b = engine.maximize(3, epsilon=EPS)
         assert all(r.seeds == cold_a.seeds for r in ra)
         assert all(r.seeds == cold_b.seeds for r in rb)
+
+
+class TestGreedyMemoUnderThreads:
+    """Threads race on the pool's greedy memo and still answer exactly.
+
+    At n=120 and ε=0.25, D-SSA's find halves for k = 2, 3 and 4 are the
+    same ranges, so the interleaved queries read and publish the same
+    memo entries.  A one-shot run is a memo-free reference: its find
+    halves are all distinct, so its memo never hits.
+    """
+
+    KS = (2, 3, 4)
+
+    def _interleaved(self, service):
+        futures = [service.submit("maximize", k=k, epsilon=EPS) for k in self.KS * 3]
+        return [f.result() for f in futures]
+
+    def _assert_one_shot_answers(self, graph, results):
+        halves = [[t["find_half"] for t in r.extras["trace"]] for r in results]
+        depth = min(map(len, halves))
+        assert all(h[:depth] == halves[0][:depth] for h in halves)
+        cold = {
+            k: repro.dssa(graph, k, epsilon=EPS, model="LT", seed=SEED) for k in self.KS
+        }
+        for got in results:
+            want = cold[len(got.seeds)]
+            assert got.seeds == want.seeds
+            assert got.samples == want.samples
+            assert got.influence == want.influence
+            assert got.stopped_by == want.stopped_by
+
+    def test_coinciding_find_halves_before_and_after_mutate(self, small_wc_graph):
+        with InfluenceService(max_workers=4) as service:
+            engine = service.open_session("default", small_wc_graph, model="LT", seed=SEED)
+            before = self._interleaved(service)
+            self._assert_one_shot_answers(small_wc_graph, before)
+            # Cut the top seed's out-edges: the sets it reached through
+            # them are repaired, so the memo is dropped and the answers move.
+            top = before[0].seeds[0]
+            lo, hi = small_wc_graph.out_indptr[top], small_wc_graph.out_indptr[top + 1]
+            cut = [(top, int(v)) for v in small_wc_graph.out_indices[lo:hi]]
+            assert engine.mutate(remove=cut)["repaired"] > 0
+            after = self._interleaved(service)
+            self._assert_one_shot_answers(engine.graph, after)
+        assert [r.seeds for r in after] != [r.seeds for r in before]

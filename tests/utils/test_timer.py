@@ -2,9 +2,7 @@
 
 import time
 
-import pytest
-
-from repro.utils.timer import Stopwatch, Timer
+from repro.utils.timer import Timer
 
 
 class TestTimer:
@@ -15,38 +13,3 @@ class TestTimer:
 
     def test_zero_before_use(self):
         assert Timer().elapsed == 0.0
-
-
-class TestStopwatch:
-    def test_accumulates_laps(self):
-        sw = Stopwatch()
-        sw.start("a")
-        time.sleep(0.005)
-        first = sw.stop("a")
-        sw.start("a")
-        time.sleep(0.005)
-        second = sw.stop("a")
-        assert second > first
-
-    def test_total_sums_laps(self):
-        sw = Stopwatch()
-        for name in ("x", "y"):
-            sw.start(name)
-            sw.stop(name)
-        assert sw.total == pytest.approx(sw.lap("x") + sw.lap("y"))
-
-    def test_unknown_lap_is_zero(self):
-        assert Stopwatch().lap("nope") == 0.0
-
-    def test_stop_without_start_raises(self):
-        with pytest.raises(KeyError):
-            Stopwatch().stop("never")
-
-    def test_as_dict_snapshot(self):
-        sw = Stopwatch()
-        sw.start("only")
-        sw.stop("only")
-        snapshot = sw.as_dict()
-        assert set(snapshot) == {"only"}
-        snapshot["only"] = -1.0
-        assert sw.lap("only") >= 0.0  # mutation does not leak back
