@@ -40,11 +40,6 @@ from repro.utils.timer import Timer
 from repro.utils.validation import check_delta, check_epsilon, check_k
 
 
-def _rr_width(graph: CSRGraph, rr_set: np.ndarray) -> int:
-    """width(R): number of edges of G entering nodes of R."""
-    return int(np.diff(graph.in_indptr)[rr_set].sum())
-
-
 def _kpt_estimation(
     ctx: SamplingContext,
     k: int,
@@ -65,6 +60,7 @@ def _kpt_estimation(
         return 1.0, 0
     log_n = max(math.log2(n), 2.0)
     base_count = 6.0 * math.log(1.0 / delta) + 6.0 * math.log(log_n)
+    in_degrees = np.diff(graph.in_indptr)
     used = 0
     for i in range(1, int(log_n)):
         c_i = int(math.ceil(base_count * (2.0**i)))
@@ -72,11 +68,13 @@ def _kpt_estimation(
             c_i = min(c_i, max_samples)
         start = used
         used += c_i
-        pool = ctx.require(used)
+        flat, offsets = ctx.require(used).flat_view(start, used)
+        # width(R): the edges of G entering nodes of R.  Every RR set
+        # holds its root, so no reduceat segment is empty.
+        widths = np.add.reduceat(in_degrees[flat], offsets[:-1])
         kappa_sum = 0.0
-        for j in range(start, used):
-            width_fraction = _rr_width(graph, pool[j]) / m
-            kappa_sum += 1.0 - (1.0 - width_fraction) ** k
+        for width in widths.tolist():
+            kappa_sum += 1.0 - (1.0 - width / m) ** k
         if kappa_sum / c_i > 1.0 / (2.0**i):
             return max(1.0, n * kappa_sum / (2.0 * c_i)), used
         if max_samples is not None and used >= max_samples:

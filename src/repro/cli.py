@@ -215,8 +215,8 @@ def _parse_edge_groups(text, name: str, *, weighted: bool) -> "list[list]":
     """Parse REPL edge shorthand (``u:v:w,...``) into structured rows.
 
     The REPL keeps the compact command syntax but puts the structured
-    ``GraphDelta.as_dict()`` form on the wire — the string wire format
-    is deprecated server-side.
+    ``GraphDelta.as_dict()`` form on the wire, the only form the server
+    accepts.
     """
     if text is None:
         return []

@@ -91,17 +91,14 @@ def estimate_influence(
         want = max(missing, t) if successes == 0 else missing * t / successes
         count = min(max_samples - t, max(1, math.ceil(want)))
         batch = sampler.sample_batch(count)
-        sizes = np.fromiter(map(len, batch), dtype=np.int64, count=count)
         # Every RR set holds its root, so no reduceat segment is empty.
-        hits = np.logical_or.reduceat(
-            seed_mask[np.concatenate(batch)], np.cumsum(sizes) - sizes
-        )
+        hits = np.logical_or.reduceat(seed_mask[batch.flat], batch.offsets[:-1])
         reached = successes + np.cumsum(hits)
         if reached[-1] >= lambda_2:
             used = int(np.searchsorted(reached, lambda_2)) + 1
             sampler.seek(
                 sampler.sets_generated - (count - used),
-                entries=sampler.entries_generated - int(sizes[used:].sum()),
+                entries=sampler.entries_generated - int(batch.flat.size - batch.offsets[used]),
             )
             t += used
             return InfluenceEstimate(

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.exceptions import ParameterError
+from repro.sampling.block import concat_ranges
 from repro.sampling.rr_collection import RRCollection, sets_in_range
 
 
@@ -41,19 +42,6 @@ class MaxCoverageResult:
         if self.num_sets == 0:
             raise ParameterError("no RR sets behind this coverage result")
         return scale * self.coverage / self.num_sets
-
-
-def concat_ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
-    """Concatenate integer ranges [starts[i], stops[i]) without a Python loop."""
-    lengths = stops - starts
-    total = int(lengths.sum())
-    if total == 0:
-        return np.zeros(0, dtype=np.int64)
-    out = np.ones(total, dtype=np.int64)
-    out[0] = starts[0]
-    boundaries = np.cumsum(lengths)[:-1]
-    out[boundaries] = starts[1:] - stops[:-1] + 1
-    return np.cumsum(out)
 
 
 def max_coverage(

@@ -25,13 +25,14 @@ import math
 
 import numpy as np
 
-from repro.core.max_coverage import MaxCoverageResult, concat_ranges
+from repro.core.max_coverage import MaxCoverageResult
 from repro.core.result import IMResult
 from repro.core.thresholds import max_iterations, sample_cap
 from repro.diffusion.models import DiffusionModel
 from repro.exceptions import ParameterError
 from repro.graph.digraph import CSRGraph
 from repro.sampling.base import make_sampler
+from repro.sampling.block import concat_ranges
 from repro.sampling.rr_collection import RRCollection, sets_in_range
 from repro.utils.mathstats import upsilon
 from repro.utils.timer import Timer

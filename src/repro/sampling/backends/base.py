@@ -33,6 +33,7 @@ import numpy as np
 from repro.diffusion.models import DiffusionModel
 from repro.exceptions import SamplingError
 from repro.graph.digraph import CSRGraph
+from repro.sampling.block import RRBlock
 
 
 @dataclass
@@ -75,7 +76,8 @@ class ExecutionBackend(abc.ABC):
 
     ``sample_shards`` takes one *global-index* batch per worker (empty
     batches are allowed and produce empty shard results) and returns,
-    per worker, the RR sets for its indices *in batch order*.
+    per worker, one :class:`~repro.sampling.block.RRBlock` of the RR
+    sets for its indices *in batch order*.
     """
 
     #: registry key / CLI name, overridden by each implementation.
@@ -179,12 +181,13 @@ class ExecutionBackend(abc.ABC):
         self,
         index_batches: Sequence[np.ndarray],
         root_batches: "Sequence[np.ndarray | None] | None" = None,
-    ) -> list[list[np.ndarray]]:
+    ) -> list[RRBlock]:
         """Sample RR sets for each worker's batch of global set indices.
 
         ``index_batches[w]`` are the stream indices assigned to worker
-        ``w``; the result keeps the same shape: ``result[w][i]`` is the
-        RR set of stream index ``index_batches[w][i]``.  ``root_batches``
+        ``w``; the result keeps the same shape: ``result[w]`` is a
+        block whose set ``i`` is the RR set of stream index
+        ``index_batches[w][i]``.  ``root_batches``
         optionally pins explicit roots (aligned with the indices);
         ``None`` — the normal case — draws each root from its set's own
         key.
@@ -216,7 +219,7 @@ class ExecutionBackend(abc.ABC):
         self,
         index_batches: Sequence[np.ndarray],
         root_batches: "Sequence[np.ndarray | None] | None",
-    ) -> list[list[np.ndarray]]:
+    ) -> list[RRBlock]:
         """Backend-specific fan-out; called only while started."""
 
     @abc.abstractmethod
@@ -247,7 +250,7 @@ def build_worker_sampler(spec: WorkerSpec, graph: CSRGraph | None = None):
 
 def run_worker_batch(
     sampler, indices: np.ndarray, roots: "np.ndarray | None" = None
-) -> list[np.ndarray]:
+) -> RRBlock:
     """Compute one worker's shard of RR sets by global stream index.
 
     Shared by every backend so in-process and out-of-process paths run
@@ -259,21 +262,3 @@ def run_worker_batch(
     in a pinned batch).
     """
     return sampler.sample_block(np.asarray(indices, dtype=np.int64), roots)
-
-
-def flatten_rr_batch(rr_sets: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Pack a list of RR sets into one ``(flat, sizes)`` message.
-
-    Inter-process replies ship two arrays instead of N small ones, which
-    keeps pickling overhead per batch O(1) in the number of sets.
-    """
-    sizes = np.fromiter((rr.size for rr in rr_sets), dtype=np.int64, count=len(rr_sets))
-    flat = np.concatenate(rr_sets) if rr_sets else np.zeros(0, dtype=np.int32)
-    return flat.astype(np.int32, copy=False), sizes
-
-
-def unflatten_rr_batch(flat: np.ndarray, sizes: np.ndarray) -> list[np.ndarray]:
-    """Invert :func:`flatten_rr_batch` (views into ``flat``, no copies)."""
-    if sizes.size == 0:
-        return []
-    return np.split(flat, np.cumsum(sizes[:-1]))

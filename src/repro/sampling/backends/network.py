@@ -62,9 +62,9 @@ from repro.sampling.backends.base import (
     ExecutionBackend,
     WorkerSpec,
     build_worker_sampler,
-    flatten_rr_batch,
-    unflatten_rr_batch,
+    run_worker_batch,
 )
+from repro.sampling.block import RRBlock
 from repro.sampling.backends.netproto import (
     ConnectionClosed,
     load_cached_blob,
@@ -663,42 +663,43 @@ class NetworkBackend(ExecutionBackend):
         self,
         index_batches: Sequence[np.ndarray],
         root_batches: "Sequence[np.ndarray | None] | None",
-    ) -> list[list[np.ndarray]]:
-        # Flatten the coordinator's nominal partition into one pending map
-        # and re-partition it over the *live* lease set — possibly several
-        # times, as hosts crash, expire, or join mid-call.  Seed purity
-        # makes any assignment byte-equivalent, so retry is just
-        # reassignment.  Roots are carried per-index (-1 = "draw from the
-        # set's own key") so mixed batches survive re-partitioning.
-        pending: dict[int, int] = {}
-        for w, batch in enumerate(index_batches):
-            roots = None if root_batches is None else root_batches[w]
-            for position, g in enumerate(batch):
-                pinned = -1 if roots is None else int(roots[position])
-                pending[int(g)] = pinned
-        results_by_index: dict[int, np.ndarray] = {}
+    ) -> list[RRBlock]:
+        # Flatten the coordinator's nominal partition into one position
+        # list and re-partition the unanswered positions over the *live*
+        # lease set — possibly several times, as hosts crash, expire, or
+        # join mid-call.  Seed purity makes any assignment
+        # byte-equivalent, so retry is just reassignment.  Roots are
+        # carried per position (-1 = "draw from the set's own key") so
+        # mixed batches survive re-partitioning.
+        indices = np.concatenate([np.asarray(b, dtype=np.int64) for b in index_batches])
+        bounds = np.cumsum([0] + [len(b) for b in index_batches])
+        roots_at = np.full(indices.size, -1, dtype=np.int64)
+        if root_batches is not None:
+            for w, roots in enumerate(root_batches):
+                if roots is not None:
+                    roots_at[bounds[w] : bounds[w + 1]] = roots
+        pending = np.ones(indices.size, dtype=bool)
+        answered: list[tuple[np.ndarray, RRBlock]] = []
 
         barren_rounds = 0
-        while pending:
+        while pending.any():
             hosts = self._await_ready_hosts()
             chunks = [
                 chunk
-                for chunk in np.array_split(
-                    np.asarray(sorted(pending), dtype=np.int64), len(hosts)
-                )
+                for chunk in np.array_split(np.flatnonzero(pending), len(hosts))
                 if len(chunk)
             ]
             engaged: list[tuple[_HostLease, int, np.ndarray]] = []
             app_errors: list[str] = []
             crashed = False
             for host, chunk in zip(hosts, chunks):
-                roots = np.asarray([pending[int(g)] for g in chunk], dtype=np.int64)
+                roots = roots_at[chunk]
                 if (roots < 0).all():
                     roots = None
                 self._batch_seq += 1
                 seq = self._batch_seq
                 try:
-                    host.send(("sample", seq, chunk, roots))
+                    host.send(("sample", seq, indices[chunk], roots))
                 except ConnectionClosed as exc:
                     self._record_fault(host, f"is gone: {exc}")
                     self._retire_host(host, f"send failed: {exc}")
@@ -723,9 +724,8 @@ class NetworkBackend(ExecutionBackend):
                     self._retire_host(host, "out-of-sequence reply")
                     crashed = True
                     continue
-                for g, rr in zip(chunk, unflatten_rr_batch(reply[2], reply[3])):
-                    results_by_index[int(g)] = rr
-                    del pending[int(g)]
+                answered.append((chunk, RRBlock(reply[2], reply[3])))
+                pending[chunk] = False
                 completed += len(chunk)
             if app_errors:
                 # Deterministic worker-side failures recur on any host; all
@@ -734,29 +734,23 @@ class NetworkBackend(ExecutionBackend):
             if crashed:
                 self._reap_spawned()
             barren_rounds = 0 if completed else barren_rounds + 1
-            if pending and barren_rounds > _MAX_BARREN_ROUNDS:
+            if pending.any() and barren_rounds > _MAX_BARREN_ROUNDS:
                 raise SamplingError(
                     "network fleet crash loop, retry budget exhausted"
                     + self._fault_suffix()
                 )
-        return [
-            [results_by_index[int(g)] for g in batch] for batch in index_batches
-        ]
+        # The replies hold every position once, in arrival order; one
+        # take per worker puts its positions back in batch order.
+        merged = RRBlock.concat(block for _, block in answered)
+        rank = np.empty(indices.size, dtype=np.int64)
+        if answered:
+            rank[np.concatenate([chunk for chunk, _ in answered])] = np.arange(indices.size)
+        return [merged.take(rank[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 # ----------------------------------------------------------------------
 # Worker-host runtime (the `repro worker` subcommand)
 # ----------------------------------------------------------------------
-def _run_indexed_batch(sampler, indices: np.ndarray, roots: "np.ndarray | None"):
-    """Batch sampling with optional pinned roots (-1 = unpinned).
-
-    Routes through ``sample_block`` so worker hosts get the lockstep
-    path; the -1 convention is the block API's own, and the bytes per
-    set equal ``sample_at``'s regardless.
-    """
-    return sampler.sample_block(np.asarray(indices, dtype=np.int64), roots)
-
-
 def run_worker(
     connect: str,
     *,
@@ -839,8 +833,8 @@ def run_worker(
             if kind == "sample":
                 _, seq, indices, roots = message
                 try:
-                    rr_sets = _run_indexed_batch(sampler, indices, roots)
-                    send(("result", seq) + flatten_rr_batch(rr_sets))
+                    block = run_worker_batch(sampler, indices, roots)
+                    send(("result", seq, block.flat, block.offsets))
                 except Exception as exc:  # surface worker faults, keep serving
                     send(("error", seq, f"{type(exc).__name__}: {exc}"))
             elif kind == "abort":

@@ -10,9 +10,9 @@ scaled down to one machine:
   constructs its sampler from the stream's seed material — workers hold
   no per-worker stream state, so any worker can compute any set;
 * **steady state** — the only traffic per fan-out is one batch of
-  global set indices down each worker's pipe and one packed
-  ``(flat, sizes)`` RR-batch reply back up.  The graph never crosses a
-  pipe again;
+  global set indices down each worker's pipe and one RR block's
+  ``(flat, offsets)`` arrays back up.  The graph never crosses a pipe
+  again;
 * **elasticity** — :meth:`ProcessBackend.resize` spawns extra workers
   against the existing segment or retires surplus ones; the stream is
   seed-pure, so a resize is byte-invisible;
@@ -56,10 +56,9 @@ from repro.sampling.backends.base import (
     ExecutionBackend,
     WorkerSpec,
     build_worker_sampler,
-    flatten_rr_batch,
     run_worker_batch,
-    unflatten_rr_batch,
 )
+from repro.sampling.block import RRBlock
 
 _JOIN_TIMEOUT = 5.0
 _STDERR_TAIL_BYTES = 2048
@@ -103,8 +102,8 @@ def _worker_main(
             try:
                 if message[0] == "sample":
                     _, indices, roots = message
-                    rr_sets = run_worker_batch(sampler, indices, roots)
-                    conn.send(("ok",) + flatten_rr_batch(rr_sets))
+                    block = run_worker_batch(sampler, indices, roots)
+                    conn.send(("ok", block.flat, block.offsets))
                 elif message[0] == "abort":
                     # Fault injection for crash-context tests: die hard,
                     # leaving only stderr behind (no protocol reply).
@@ -270,7 +269,7 @@ class ProcessBackend(ExecutionBackend):
         self,
         index_batches: Sequence[np.ndarray],
         root_batches: "Sequence[np.ndarray | None] | None",
-    ) -> list[list[np.ndarray]]:
+    ) -> list[RRBlock]:
         # Ship all batches first so workers overlap, then collect in order.
         # Faults on either leg are accumulated, never raised mid-protocol:
         # every successfully-sent batch must be drained before raising or
@@ -281,7 +280,7 @@ class ProcessBackend(ExecutionBackend):
         # retry is byte-identical because each set derives from its global
         # index alone.  A worker *reply* reporting an error is an
         # application fault that would recur on replay, so it raises.
-        results: list[list[np.ndarray]] = [[] for _ in index_batches]
+        results = [RRBlock.pack(()) for _ in index_batches]
         pending: dict[int, tuple[np.ndarray, "np.ndarray | None"]] = {}
         for worker_id, batch in enumerate(index_batches):
             if len(batch) == 0:
@@ -313,7 +312,7 @@ class ProcessBackend(ExecutionBackend):
                 if reply[0] != "ok":
                     app_errors.append(f"worker {worker_id} failed: {reply[1]}")
                     continue
-                results[worker_id] = unflatten_rr_batch(reply[1], reply[2])
+                results[worker_id] = RRBlock(reply[1], reply[2])
                 del pending[worker_id]
             # Respawn crashed workers before raising anything: a dead pipe
             # left in the fleet would wedge every later call on this

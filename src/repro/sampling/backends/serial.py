@@ -20,6 +20,7 @@ from repro.sampling.backends.base import (
     build_worker_sampler,
     run_worker_batch,
 )
+from repro.sampling.block import RRBlock
 
 
 class SerialBackend(ExecutionBackend):
@@ -39,7 +40,7 @@ class SerialBackend(ExecutionBackend):
         self,
         index_batches: Sequence[np.ndarray],
         root_batches: "Sequence[np.ndarray | None] | None",
-    ) -> list[list[np.ndarray]]:
+    ) -> list[RRBlock]:
         return [
             run_worker_batch(
                 self._sampler,

@@ -29,6 +29,7 @@ from repro.sampling.backends.base import (
     build_worker_sampler,
     run_worker_batch,
 )
+from repro.sampling.block import RRBlock
 
 
 class ThreadBackend(ExecutionBackend):
@@ -68,7 +69,7 @@ class ThreadBackend(ExecutionBackend):
         self,
         index_batches: Sequence[np.ndarray],
         root_batches: "Sequence[np.ndarray | None] | None",
-    ) -> list[list[np.ndarray]]:
+    ) -> list[RRBlock]:
         futures = [
             self._pool.submit(
                 run_worker_batch,

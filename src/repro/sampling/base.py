@@ -1,8 +1,9 @@
 """Common RR-sampler interface.
 
 A sampler owns a graph, a root distribution, and a counter-based stream
-key, and produces RR sets — int32 numpy arrays of the nodes that can
-reach a random root in a random sampled subgraph (Definition 2).
+key, and produces RR sets — the nodes that can reach a random root in a
+random sampled subgraph (Definition 2) — as flat
+:class:`~repro.sampling.block.RRBlock` batches.
 Samplers also keep lifetime counters (sets generated, total entries)
 which the experiment harness uses for the paper's "number of RR sets"
 and memory reports.
@@ -26,6 +27,7 @@ import numpy as np
 from repro.diffusion.models import DiffusionModel
 from repro.exceptions import SamplingError
 from repro.graph.digraph import CSRGraph
+from repro.sampling.block import RRBlock
 from repro.sampling.kernels import SamplingKernel, make_kernel
 from repro.sampling.roots import UniformRoots, WeightedRoots
 from repro.sampling.seedstream import STREAM_ID, SeedStream
@@ -105,11 +107,11 @@ class RRSampler(abc.ABC):
         return 1
 
     @abc.abstractmethod
-    def _sample_keys(self, keys: np.ndarray, roots) -> "list[np.ndarray]":
+    def _sample_keys(self, keys: np.ndarray, roots) -> RRBlock:
         """The model's RR sets for a block of set keys (``roots`` as in
         :meth:`sample_block`)."""
 
-    def sample_block(self, indices, roots=None) -> "list[np.ndarray]":
+    def sample_block(self, indices, roots=None) -> RRBlock:
         """Compute an arbitrary batch of stream sets by global index.
 
         Set ``g``'s bytes are the same in any block, at any width, under
@@ -121,7 +123,7 @@ class RRSampler(abc.ABC):
         """
         indices = np.asarray(indices, dtype=np.int64)
         if indices.size == 0:
-            return []
+            return RRBlock.pack(())
         return self._sample_keys(self.seed_stream.keys(indices), roots)
 
     def sample_at(self, index: int, root: int | None = None) -> np.ndarray:
@@ -142,7 +144,7 @@ class RRSampler(abc.ABC):
         self.entries_generated += int(rr.size)
         return rr
 
-    def sample_batch(self, count: int) -> list[np.ndarray]:
+    def sample_batch(self, count: int) -> RRBlock:
         """Generate ``count`` RR sets.
 
         Each set is a pure function of ``(seed, global index)``, so the
@@ -152,12 +154,12 @@ class RRSampler(abc.ABC):
         treat a cached pool as the exact head of any cold run's stream.
         """
         if count <= 0:
-            return []
+            return RRBlock.pack(())
         base = self._cursor
         batch = self.sample_block(np.arange(base, base + count, dtype=np.int64))
         self._cursor = base + count
         self.sets_generated += count
-        self.entries_generated += int(sum(rr.size for rr in batch))
+        self.entries_generated += int(batch.flat.size)
         return batch
 
     # ------------------------------------------------------------------

@@ -21,8 +21,9 @@ here emits the same bytes:
 serve every block, in every cascade regime.  They run a chunk of sets
 ("lanes") one BFS step or walk hop per numpy pass: frontier arrays
 carry a lane column, one CSR gather collects every lane's frontier
-in-edges, one vectorized hash flips all their coins, and a sorted
-``lane * n + node`` key set (:class:`_LaneVisited`) tracks visits.
+in-edges, one vectorized hash flips all their coins, a sorted
+``lane * n + node`` key set (:class:`_LaneVisited`) tracks visits, and
+the chunk's sets come out as one :class:`~repro.sampling.block.RRBlock`.
 Per-set dispatch cost amortizes to near zero, which is where
 weighted-cascade workloads (mean RR size ~6) spend their time.  A chunk
 holds :data:`LOCKSTEP_COINS` divided by the sampler's running mean of
@@ -31,7 +32,7 @@ size.
 
 **Per-set reference.**  :func:`reference_block` computes sets one at a
 time — :func:`ic_sample_one` a node at a time, :func:`lt_sample_one` a
-hop at a time.  It is what the tests and the microbenchmark hold the
+hop at a time — and packs them into a block.  It is what the tests and the microbenchmark hold the
 lockstep paths to; the engine never calls it.
 
 **Kernel names.**  ``scalar``, ``vectorized``, ``batched``,
@@ -46,6 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.exceptions import SamplingError
+from repro.sampling.block import RRBlock
 from repro.sampling.seedstream import (
     ROOT,
     coin_thresholds,
@@ -140,15 +142,15 @@ def _lanes(sampler) -> int:
     return max(1, int(LOCKSTEP_COINS * sets / max(coins, 1)))
 
 
-def _chunked(sampler, step, keys, roots) -> "list[np.ndarray]":
+def _chunked(sampler, step, keys, roots) -> RRBlock:
     """Run ``step`` over lane chunks, re-reading the width per chunk."""
-    out: list[np.ndarray] = []
+    blocks = []
     start = 0
     while start < keys.size:
         stop = start + _lanes(sampler)
-        out.extend(step(sampler, keys[start:stop], roots[start:stop]))
+        blocks.append(step(sampler, keys[start:stop], roots[start:stop]))
         start = stop
-    return out
+    return RRBlock.concat(blocks)
 
 
 class _LaneVisited:
@@ -189,8 +191,8 @@ def _sorted_unique(values: np.ndarray) -> np.ndarray:
     return values[keep]
 
 
-def _assemble(lane_pieces, node_pieces, n_lanes) -> "list[np.ndarray]":
-    """Split step-ordered (lane, node) pieces into per-lane RR sets.
+def _assemble(lane_pieces, node_pieces, n_lanes) -> RRBlock:
+    """Step-ordered (lane, node) pieces as a block of per-lane RR sets.
 
     A stable sort by lane keeps step order within each lane: root
     first, then each step's nodes in the order they were appended.
@@ -198,31 +200,32 @@ def _assemble(lane_pieces, node_pieces, n_lanes) -> "list[np.ndarray]":
     all_lanes = np.concatenate(lane_pieces)
     order = np.argsort(all_lanes, kind="stable")
     nodes = np.concatenate(node_pieces)[order].astype(np.int32, copy=False)
-    counts = np.bincount(all_lanes, minlength=n_lanes)
-    return np.split(nodes, np.cumsum(counts[:-1]))
+    return RRBlock.from_sizes(nodes, np.bincount(all_lanes, minlength=n_lanes))
 
 
 def _hop_budget(sampler) -> int:
     return -1 if sampler.max_hops is None else int(sampler.max_hops)
 
 
-def reference_block(sampler, indices, pinned=None) -> "list[np.ndarray]":
+def reference_block(sampler, indices, pinned=None) -> RRBlock:
     """:meth:`~repro.sampling.base.RRSampler.sample_block`'s sets, by the
     per-set reference loops instead of the lockstep paths."""
     keys = sampler.seed_stream.keys(indices)
     one = lt_sample_one if sampler.model.value == "LT" else ic_sample_one
-    return [one(sampler, key, root) for key, root in zip(keys, _roots(sampler, keys, pinned))]
+    return RRBlock.pack(
+        [one(sampler, key, root) for key, root in zip(keys, _roots(sampler, keys, pinned))]
+    )
 
 
 # ----------------------------------------------------------------------
 # IC
 # ----------------------------------------------------------------------
-def ic_sample_block(sampler, keys: np.ndarray, pinned=None) -> "list[np.ndarray]":
+def ic_sample_block(sampler, keys: np.ndarray, pinned=None) -> RRBlock:
     """IC RR sets for a block of set keys (``pinned`` as in :func:`_roots`)."""
     return _chunked(sampler, _ic_lockstep, keys, _roots(sampler, keys, pinned))
 
 
-def _ic_lockstep(sampler, keys, roots) -> "list[np.ndarray]":
+def _ic_lockstep(sampler, keys, roots) -> RRBlock:
     graph = sampler.graph
     n = graph.n
     indptr, sources = graph.in_indptr, graph.in_indices
@@ -296,12 +299,12 @@ def ic_sample_one(sampler, key, root: int) -> np.ndarray:
 # ----------------------------------------------------------------------
 # LT
 # ----------------------------------------------------------------------
-def lt_sample_block(sampler, keys: np.ndarray, pinned=None) -> "list[np.ndarray]":
+def lt_sample_block(sampler, keys: np.ndarray, pinned=None) -> RRBlock:
     """LT RR sets for a block of set keys (``pinned`` as in :func:`_roots`)."""
     return _chunked(sampler, _lt_lockstep, keys, _roots(sampler, keys, pinned))
 
 
-def _lt_lockstep(sampler, keys, roots) -> "list[np.ndarray]":
+def _lt_lockstep(sampler, keys, roots) -> RRBlock:
     graph = sampler.graph
     n = graph.n
     indptr, sources, totals = graph.in_indptr, graph.in_indices, graph.in_weight_totals

@@ -1,9 +1,10 @@
 """A growable collection of RR sets with vectorized coverage queries.
 
 ``RRCollection`` is the ``R`` of the paper: SSA doubles it each iteration,
-D-SSA slices it into a find half and a verify half.  Internally it keeps a
-list of int32 arrays plus a lazily compiled flat CSR view (all entries
-concatenated + offsets), so coverage counting and greedy max-coverage are
+D-SSA slices it into a find half and a verify half.  It stores sets in
+the form samplers return them, flat blocks (:mod:`repro.sampling.block`),
+copied block by block into two growable buffers — int32 entries and
+int64 offsets — so coverage counting and greedy max-coverage are
 numpy-vectorized rather than per-set Python loops.
 
 The collection also owns the one node→set inverted index every reader
@@ -16,12 +17,13 @@ extended per appended chunk, never rebuilt while the pool only grows.
 
 Concurrent serving reads the same data through :class:`RRSnapshot` — an
 immutable prefix view produced by :meth:`RRCollection.snapshot`.  The
-compiled buffers are append-only (never mutated below the compiled
-length, replaced wholesale when they grow) and the index arrays are
-replaced, never written, so a snapshot taken while holding the writer's
-lock stays valid forever: later appends write past the snapshot's views
-or into fresh arrays the snapshot never sees.  Snapshots share the pool's
-greedy memo (:class:`GreedyMemo`) the same way.
+buffers are append-only (never written below a length a snapshot holds;
+growth, truncation and repair move to fresh arrays) and the index arrays
+are replaced, never written, so a snapshot taken while holding the
+writer's lock stays valid forever: later appends write past the
+snapshot's views or into fresh arrays the snapshot never sees.
+Snapshots share the pool's greedy memo (:class:`GreedyMemo`) the same
+way.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from collections.abc import Iterable, Sequence
 import numpy as np
 
 from repro.exceptions import SamplingError
+from repro.sampling.block import RRBlock
 
 
 def stable_node_order(keys: np.ndarray, n: int) -> np.ndarray:
@@ -150,25 +153,30 @@ class _CoverageReadOps:
     """Coverage queries shared by the growable collection and its snapshots.
 
     Implementations only need ``self.n``, ``self.greedy_memo``,
-    ``flat_view(start, end)`` returning ``(flat entries, local offsets)``
-    for a set range, ``_set_offsets()`` returning the global offsets of
-    every set they hold, and ``node_index()`` returning the ``(postings,
-    node_ptr)`` node→set index over at least every set they hold.
+    ``block`` — the :class:`~repro.sampling.block.RRBlock` of every set
+    they hold — ``flat_view(start, end)`` returning a range's flat
+    entries and local offsets, and ``node_index()`` returning the
+    ``(postings, node_ptr)`` node→set index over at least every set
+    they hold.
     """
 
     n: int
     greedy_memo: GreedyMemo
-
-    def flat_view(
-        self, start: int = 0, end: int | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        raise NotImplementedError
+    block: RRBlock
 
     def node_index(self) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
-    def _set_offsets(self) -> np.ndarray:
-        raise NotImplementedError
+    def __len__(self) -> int:
+        return len(self.block)
+
+    def __getitem__(self, index: int) -> np.ndarray:
+        return self.block[index]
+
+    @property
+    def total_entries(self) -> int:
+        """Total node occurrences across all stored sets."""
+        return int(self.block.offsets[-1])
 
     def memory_bytes(self, *, start: int = 0, end: int | None = None) -> int:
         """Retained bytes of RR-set storage (the paper's memory driver).
@@ -179,11 +187,11 @@ class _CoverageReadOps:
         ``end`` is clamped to the stored sets; a range that starts
         below 0 or past ``end`` holds nothing.
         """
-        count = len(self)
+        offsets = self.block.offsets
+        count = offsets.size - 1
         end = count if end is None else min(end, count)
         if not 0 <= start <= end:
             return 0
-        offsets = self._set_offsets()
         return 4 * int(offsets[end] - offsets[start])
 
     def resolve_range(self, start: int, end: int | None) -> int:
@@ -233,17 +241,25 @@ class _CoverageReadOps:
             raise SamplingError("cannot estimate influence from an empty range")
         return scale * self.coverage(seeds, start=start, end=end) / count
 
-    def __len__(self) -> int:  # pragma: no cover - overridden everywhere
-        raise NotImplementedError
+
+def _grown(buf: np.ndarray, keep: int, need: int) -> np.ndarray:
+    """A fresh buffer of at least ``need`` slots holding ``buf[:keep]``;
+    geometric growth keeps appends amortized O(1) per entry."""
+    grown = np.empty(max(need, 2 * buf.size, 1024), dtype=buf.dtype)
+    grown[:keep] = buf[:keep]
+    return grown
 
 
 class RRCollection(_CoverageReadOps):
     """Ordered collection of RR sets over nodes ``0..n-1``.
 
-    ``stream_id`` optionally records which stream derivation the stored
-    sets came from (see :mod:`repro.sampling.seedstream`); it is
-    provenance — snapshots inherit it, and pool/spill layers key on it so
-    sets from different derivations are never mixed in one collection.
+    The sets live in two growable buffers, int32 entries and int64
+    offsets, filled block by block; :attr:`block` is their filled
+    prefix.  ``stream_id`` optionally records which stream derivation
+    the stored sets came from (see :mod:`repro.sampling.seedstream`); it
+    is provenance — snapshots inherit it, and pool/spill layers key on
+    it so sets from different derivations are never mixed in one
+    collection.
     """
 
     def __init__(self, n: int, *, stream_id: str | None = None) -> None:
@@ -251,25 +267,17 @@ class RRCollection(_CoverageReadOps):
             raise SamplingError(f"RRCollection needs a positive node count, got {n}")
         self.n = int(n)
         self.stream_id = stream_id
-        self._sets: list[np.ndarray] = []
-        self._total_entries = 0
-        self._drop_compiled()
+        self._store(np.zeros(0, dtype=np.int32), np.zeros(1, dtype=np.int64))
 
-    def _drop_compiled(self) -> None:
-        """Forget the compiled view, the index and the greedy memo.
+    def _store(self, flat: np.ndarray, offsets: np.ndarray) -> None:
+        """Start a new generation holding exactly ``flat``/``offsets``.
 
-        Compiled flat view: geometrically grown append-only buffers, so
-        keeping the view current is amortized O(1) per entry even under
-        SSA/D-SSA's doubling loop (a full re-concatenation here used to
-        make the loop O(total²) in entries).  Node→set index: postings
-        and per-node pointers over sets ``[0, _indexed_upto)``.  The view
-        and the index are rebuilt on the next read; the memo starts a new
-        generation empty.
+        The node→set index (postings and per-node pointers over sets
+        ``[0, _indexed_upto)``) starts empty and is rebuilt on the next
+        read; the greedy memo starts empty.
         """
-        self._flat_buf = np.zeros(0, dtype=np.int32)
-        self._flat_len = 0
-        self._offsets_buf = np.zeros(1, dtype=np.int64)
-        self._compiled_upto = 0
+        self._flat, self._offsets = flat, offsets
+        self._count = offsets.size - 1
         self._postings = np.zeros(0, dtype=np.int32)
         self._node_ptr = np.zeros(self.n + 1, dtype=np.int64)
         self._indexed_upto = 0
@@ -278,88 +286,56 @@ class RRCollection(_CoverageReadOps):
     # ------------------------------------------------------------------
     # Growth
     # ------------------------------------------------------------------
-    def append(self, rr_set: np.ndarray) -> None:
-        """Add one RR set (int array of node ids)."""
-        arr = np.asarray(rr_set, dtype=np.int32)
-        self._sets.append(arr)
-        self._total_entries += int(arr.size)
+    def extend(self, rr_sets: "RRBlock | Iterable[np.ndarray]") -> None:
+        """Add sets in order: a block, or per-set arrays packed into one.
 
-    def extend(self, rr_sets: Iterable[np.ndarray]) -> None:
-        """Add many RR sets in order."""
-        for rr in rr_sets:
-            self.append(rr)
+        The block is copied straight into the buffers, past every length
+        a snapshot holds, or into fresh buffers when they must grow.
+        """
+        block = RRBlock.pack(rr_sets)
+        count, used = self._count, int(self._offsets[self._count])
+        new_count, need = count + len(block), used + block.flat.size
+        if need > self._flat.size:
+            self._flat = _grown(self._flat, used, need)
+        if new_count >= self._offsets.size:
+            self._offsets = _grown(self._offsets, count + 1, new_count + 1)
+        self._flat[used:need] = block.flat
+        self._offsets[count + 1 : new_count + 1] = block.offsets[1:] + used
+        self._count = new_count
 
     def __len__(self) -> int:
-        return len(self._sets)
-
-    def __getitem__(self, index: int) -> np.ndarray:
-        return self._sets[index]
+        return self._count
 
     @property
-    def total_entries(self) -> int:
-        """Total node occurrences across all stored sets."""
-        return self._total_entries
+    def block(self) -> RRBlock:
+        """Every stored set: views of the filled prefix of the buffers."""
+        return self._prefix(self._count)
+
+    def _prefix(self, end: int) -> RRBlock:
+        offsets = self._offsets[: end + 1]
+        return RRBlock(self._flat[: int(offsets[-1])], offsets)
 
     @property
     def nbytes(self) -> int:
         """Retained bytes, O(1): int32 entries plus the greedy memo."""
-        return 4 * self._total_entries + self.greedy_memo.nbytes
-
-    # ------------------------------------------------------------------
-    # Flat compiled view
-    # ------------------------------------------------------------------
-    def _compile(self) -> tuple[np.ndarray, np.ndarray]:
-        """(flat entries, set offsets) covering all current sets.
-
-        Incremental: only sets appended since the last compile are copied
-        into the flat buffer, with one concatenate and one cumsum of their
-        sizes.  Buffers grow geometrically and are never mutated below
-        ``_flat_len``, so previously returned views stay valid after
-        further appends.
-        """
-        count = len(self._sets)
-        done = self._compiled_upto
-        if done < count:
-            new_sets = self._sets[done:]
-            sizes = np.fromiter(map(len, new_sets), dtype=np.int64, count=len(new_sets))
-            ends = np.cumsum(sizes) + self._flat_len
-            need = int(ends[-1])
-            if need > self._flat_buf.size:
-                grown = np.empty(max(need, 2 * self._flat_buf.size, 1024), dtype=np.int32)
-                grown[: self._flat_len] = self._flat_buf[: self._flat_len]
-                self._flat_buf = grown
-            if count + 1 > self._offsets_buf.size:
-                grown = np.empty(max(count + 1, 2 * self._offsets_buf.size, 64), dtype=np.int64)
-                grown[: done + 1] = self._offsets_buf[: done + 1]
-                self._offsets_buf = grown
-            np.concatenate(new_sets, out=self._flat_buf[self._flat_len : need])
-            self._offsets_buf[done + 1 : count + 1] = ends
-            self._flat_len = need
-            self._compiled_upto = count
-        return self._flat_buf[: self._flat_len], self._offsets_buf[: count + 1]
-
-    def _set_offsets(self) -> np.ndarray:
-        return self._compile()[1]
+        return 4 * self.total_entries + self.greedy_memo.nbytes
 
     def node_index(self) -> tuple[np.ndarray, np.ndarray]:
         """The node→set index over every stored set: ``(postings, node_ptr)``.
 
         ``postings[node_ptr[v]:node_ptr[v + 1]]`` are the ids of the sets
         containing node v, ascending, so the sets of any range are one
-        ``searchsorted`` slice.  Incremental like the compiled view: only
-        sets appended since the last call are sorted and merged in.  The
-        arrays are replaced, never written, so arrays returned earlier
-        (and the snapshots holding them) stay valid.
+        ``searchsorted`` slice.  Incremental: only sets appended since
+        the last call are sorted and merged in.  The arrays are
+        replaced, never written, so arrays returned earlier (and the
+        snapshots holding them) stay valid.
         """
-        flat, offsets = self._compile()
-        count = len(self._sets)
-        done = self._indexed_upto
+        done, count = self._indexed_upto, self._count
         if done < count:
-            set_ids = np.repeat(
-                np.arange(done, count, dtype=np.int32), np.diff(offsets[done:])
-            )
+            new = self.block[done:]
+            set_ids = np.repeat(np.arange(done, count, dtype=np.int32), np.diff(new.offsets))
             self._postings, self._node_ptr = _append_postings(
-                self._postings, self._node_ptr, flat[int(offsets[done]) :], set_ids, self.n
+                self._postings, self._node_ptr, new.flat, set_ids, self.n
             )
             self._indexed_upto = count
         return self._postings, self._node_ptr
@@ -372,57 +348,57 @@ class RRCollection(_CoverageReadOps):
         Offsets are rebased so ``flat[offsets[i]:offsets[i+1]]`` is the
         i-th set of the range.
         """
-        end = self.resolve_range(start, end)
-        flat, offsets = self._compile()
-        lo, hi = offsets[start], offsets[end]
-        return flat[lo:hi], offsets[start : end + 1] - lo
+        view = self.block[start : self.resolve_range(start, end)]
+        return view.flat, view.offsets
 
     def truncate(self, keep: int) -> int:
         """Drop sets ``[keep, len)``, keeping the prefix ``[0, keep)``.
 
-        Returns the number of sets dropped.  The compiled buffers, the
-        index and the greedy memo are *dropped*, not rewound: snapshots
-        handed out earlier keep their own (now orphaned) ones, so
-        truncation can never corrupt a reader — the caller only needs to
-        serialize with writers, as for any append.  The next read
-        rebuilds the view and the index.
+        Returns the number of sets dropped.  The kept prefix is copied
+        into fresh buffers and the index and greedy memo are dropped,
+        not rewound: snapshots handed out earlier keep their own (now
+        orphaned) arrays, so truncation can never corrupt a reader — the
+        caller only needs to serialize with writers, as for any append.
         """
         keep = int(keep)
-        if not 0 <= keep <= len(self._sets):
-            raise SamplingError(f"invalid truncation point {keep} of {len(self._sets)}")
-        dropped = len(self._sets) - keep
-        if dropped == 0:
+        count = self._count
+        if not 0 <= keep <= count:
+            raise SamplingError(f"invalid truncation point {keep} of {count}")
+        if keep == count:
             return 0
-        del self._sets[keep:]
-        self._total_entries = int(sum(arr.size for arr in self._sets))
-        self._drop_compiled()
-        return dropped
+        kept = self._prefix(keep)
+        self._store(kept.flat.copy(), kept.offsets.copy())
+        return count - keep
 
     def replace_many(self, updates: "dict[int, np.ndarray]") -> int:
-        """Swap the stored sets at the given indices in place.
+        """Swap the stored sets at the given indices.
 
         The incremental-repair primitive (see :mod:`repro.dynamic`): after
         a graph mutation, the invalidated sets — and only those — are
-        recomputed via seed-pure ``sample_at`` and written back here,
+        recomputed via seed-pure ``sample_block`` and written back here,
         leaving every other set untouched.  Returns the number of sets
-        replaced.  Like :meth:`truncate`, the compiled buffers, the index
-        and the greedy memo are dropped rather than patched, so snapshots
-        handed out earlier keep their own (now orphaned) ones and stay
-        valid; the caller serializes with writers as for any append.
+        replaced.  Like :meth:`truncate`, the result goes into fresh
+        buffers with the index and greedy memo dropped, so snapshots
+        handed out earlier keep their own arrays and stay valid; the
+        caller serializes with writers as for any append.
         """
         if not updates:
             return 0
-        count = len(self._sets)
-        for index in updates:
-            if not 0 <= int(index) < count:
-                raise SamplingError(
-                    f"replace_many index {index} out of range [0, {count})"
-                )
-        for index, rr_set in updates.items():
-            arr = np.asarray(rr_set, dtype=np.int32)
-            self._total_entries += int(arr.size) - int(self._sets[int(index)].size)
-            self._sets[int(index)] = arr
-        self._drop_compiled()
+        old = self.block
+        sizes = np.diff(old.offsets)
+        # The untouched sets between replaced positions are copied as
+        # whole runs: one concatenate writes the new entries.
+        pieces, run_start = [], 0
+        for index, rr_set in sorted((int(i), rr) for i, rr in updates.items()):
+            if not 0 <= index < len(old):
+                raise SamplingError(f"replace_many index {index} out of range [0, {len(old)})")
+            rr_set = np.asarray(rr_set, dtype=np.int32)
+            pieces += [old.flat[old.offsets[run_start] : old.offsets[index]], rr_set]
+            sizes[index] = rr_set.size
+            run_start = index + 1
+        pieces.append(old.flat[old.offsets[run_start] :])
+        fresh = RRBlock.from_sizes(np.concatenate(pieces), sizes)
+        self._store(fresh.flat, fresh.offsets)
         return len(updates)
 
     # ------------------------------------------------------------------
@@ -432,26 +408,27 @@ class RRCollection(_CoverageReadOps):
         """Immutable view of the prefix ``[0, end)`` (default: everything).
 
         The caller must hold whatever lock serializes appends while
-        taking the snapshot (compilation and the index extension mutate
-        the collection); the *returned* snapshot needs no lock —
-        concurrent appends never touch the arrays it references.  It
-        shares the pool's index and greedy memo, which may cover sets
-        past ``end``: every reader bounds its slices, and validates its
-        memo ranges, by the snapshot's own range.
+        taking the snapshot (the index extension mutates the
+        collection); the *returned* snapshot needs no lock — concurrent
+        appends never touch the arrays it references.  It shares the
+        pool's index and greedy memo, which may cover sets past ``end``:
+        every reader bounds its slices, and validates its memo ranges,
+        by the snapshot's own range.
         """
-        end = len(self._sets) if end is None else end
-        if not 0 <= end <= len(self._sets):
-            raise SamplingError(f"invalid snapshot prefix [0, {end}) of {len(self._sets)}")
+        count = self._count
+        end = count if end is None else end
+        if not 0 <= end <= count:
+            raise SamplingError(f"invalid snapshot prefix [0, {end}) of {count}")
         postings, node_ptr = self.node_index()
-        flat, offsets = self._compile()
         return RRSnapshot(
-            self.n, flat[: int(offsets[end])], offsets[: end + 1], postings, node_ptr,
-            self.greedy_memo, stream_id=self.stream_id,
+            self.n, self._prefix(end), postings, node_ptr, self.greedy_memo,
+            stream_id=self.stream_id,
         )
 
 
 class RRSnapshot(_CoverageReadOps):
-    """Immutable prefix view of an :class:`RRCollection`.
+    """Immutable prefix view of an :class:`RRCollection`: a block plus
+    the pool's shared node→set index and greedy memo.
 
     Supports the full read API the algorithm bodies use (coverage
     queries, greedy max-coverage's ``flat_view``, ``node_index`` and
@@ -461,46 +438,25 @@ class RRSnapshot(_CoverageReadOps):
     """
 
     def __init__(
-        self, n: int, flat: np.ndarray, offsets: np.ndarray,
-        postings: np.ndarray, node_ptr: np.ndarray, greedy_memo: GreedyMemo,
-        *, stream_id: str | None = None,
+        self, n: int, block: RRBlock, postings: np.ndarray, node_ptr: np.ndarray,
+        greedy_memo: GreedyMemo, *, stream_id: str | None = None,
     ) -> None:
         self.n = int(n)
-        self._flat = flat
-        self._offsets = offsets
+        self.block = block
         self._postings = postings
         self._node_ptr = node_ptr
         self.greedy_memo = greedy_memo
         self.stream_id = stream_id
 
-    def __len__(self) -> int:
-        return len(self._offsets) - 1
-
-    def __getitem__(self, index: int) -> np.ndarray:
-        count = len(self)
-        if index < 0:
-            index += count
-        if not 0 <= index < count:
-            raise IndexError(f"set index {index} out of range [0, {count})")
-        return self._flat[self._offsets[index] : self._offsets[index + 1]]
-
-    @property
-    def total_entries(self) -> int:
-        return int(self._offsets[-1]) if len(self._offsets) else 0
-
     @property
     def nbytes(self) -> int:
         return 4 * self.total_entries
 
-    def _set_offsets(self) -> np.ndarray:
-        return self._offsets
-
     def flat_view(
         self, start: int = 0, end: int | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
-        end = self.resolve_range(start, end)
-        lo, hi = self._offsets[start], self._offsets[end]
-        return self._flat[lo:hi], self._offsets[start : end + 1] - lo
+        view = self.block[start : self.resolve_range(start, end)]
+        return view.flat, view.offsets
 
     def node_index(self) -> tuple[np.ndarray, np.ndarray]:
         return self._postings, self._node_ptr

@@ -48,6 +48,7 @@ from repro.exceptions import SamplingError
 from repro.graph.digraph import CSRGraph
 from repro.sampling.backends import ExecutionBackend, WorkerSpec, make_backend
 from repro.sampling.base import RRSampler, make_sampler
+from repro.sampling.block import RRBlock
 from repro.sampling.roots import UniformRoots, WeightedRoots
 
 
@@ -138,77 +139,61 @@ class ShardedSampler(RRSampler):
             self._workers = live
             self._loads = [0] * live
 
-    def sample_at(self, index: int, root: int | None = None) -> np.ndarray:
-        """Compute one stream set on a worker (round-robin by index)."""
-        self._sync_fleet()
-        shard = int(index) % self._workers
-        index_batches = [np.zeros(0, dtype=np.int64) for _ in range(self._workers)]
-        index_batches[shard] = np.asarray([index], dtype=np.int64)
-        root_batches = None
-        if root is not None:
-            root_batches = [None] * self._workers
-            root_batches[shard] = np.asarray([root], dtype=np.int64)
-        result = self.backend.sample_shards(index_batches, root_batches)
-        self._loads[shard] += 1
-        return result[shard][0]
+    def _fan_out(self, indices: np.ndarray, roots) -> RRBlock:
+        """Sample ``indices`` across the fleet, merged into batch order.
 
-    def sample_block(self, indices, roots=None) -> list[np.ndarray]:
-        """Compute an arbitrary index batch across the fleet.
-
-        Routes index ``g`` to worker ``g mod W`` — the same round-robin
-        convention as :meth:`sample_at`/:meth:`sample_batch` — and merges
-        the shard results back into batch order.  Workers serve their
-        shards through the lockstep block path, so batch-composition
-        invariance holds end to end: entry ``i`` equals
-        ``sample_at(indices[i])`` byte for byte at any worker count.
+        Index ``g`` routes to worker ``g mod W``.  The shards come back
+        as one block per worker; concatenated, they hold the batch in
+        shard-major order, and one :meth:`~RRBlock.take` restores it.
         """
-        indices = np.asarray(indices, dtype=np.int64)
-        if indices.size == 0:
-            return []
         self._sync_fleet()
         workers = self._workers
-        shards = (indices % workers).astype(np.int64)
+        shards = indices % workers
         index_batches = [indices[shards == w] for w in range(workers)]
         root_batches = None
         if roots is not None:
             roots = np.asarray(roots, dtype=np.int64)
             root_batches = [roots[shards == w] for w in range(workers)]
-        shard_batches = self.backend.sample_shards(index_batches, root_batches)
-        merged: list[np.ndarray | None] = [None] * int(indices.size)
-        positions = np.arange(indices.size)
-        for w, batch in enumerate(shard_batches):
-            for pos, rr in zip(positions[shards == w], batch):
-                merged[int(pos)] = rr
-            self._loads[w] += len(batch)
-        return merged
+        blocks = self.backend.sample_shards(index_batches, root_batches)
+        for w, block in enumerate(blocks):
+            self._loads[w] += len(block)
+        merged = RRBlock.concat(blocks)
+        if workers == 1:
+            return merged
+        # Position i of the batch sits at rank[i] of the shard-major merge.
+        order = np.argsort(shards, kind="stable")
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        return merged.take(rank)
 
-    def sample_batch(self, count: int) -> list[np.ndarray]:
+    def sample_block(self, indices, roots=None) -> RRBlock:
+        """Compute an arbitrary index batch across the fleet.
+
+        Workers serve their shards through the lockstep block path, so
+        batch-composition invariance holds end to end: entry ``i`` equals
+        ``sample_at(indices[i])`` byte for byte at any worker count.
+        """
+        indices = np.asarray(indices, dtype=np.int64)
+        if indices.size == 0:
+            return RRBlock.pack(())
+        return self._fan_out(indices, roots)
+
+    def sample_batch(self, count: int) -> RRBlock:
         """Fan global indices out round-robin, merge back in index order.
 
-        The batch covers global indices ``cursor .. cursor+count-1``;
-        index ``g`` routes to worker ``g mod W``.  Every set is
-        self-contained (its draws and root derive from ``g`` alone),
-        so re-interleaving the shard results restores the stream order
-        exactly and the merged stream is the same for any batching, any
-        backend, and any worker count — including a :meth:`resize`
+        The batch covers global indices ``cursor .. cursor+count-1``.
+        Every set is self-contained (its draws and root derive from
+        ``g`` alone), so the merged stream is the same for any batching,
+        any backend, and any worker count — including a :meth:`resize`
         between batches.
         """
         if count <= 0:
-            return []
-        self._sync_fleet()
+            return RRBlock.pack(())
         base = self._cursor
-        workers = self._workers
-        indices = np.arange(base, base + count, dtype=np.int64)
-        offsets = [(w - base) % workers for w in range(workers)]
-        index_batches = [indices[offsets[w] :: workers] for w in range(workers)]
-        shard_batches = self.backend.sample_shards(index_batches)
-        merged: list[np.ndarray | None] = [None] * count
-        for w, batch in enumerate(shard_batches):
-            merged[offsets[w] :: workers] = batch
-            self._loads[w] += len(batch)
+        merged = self._fan_out(np.arange(base, base + count, dtype=np.int64), None)
         self._cursor = base + count
         self.sets_generated += count
-        self.entries_generated += int(sum(rr.size for rr in merged))
+        self.entries_generated += int(merged.flat.size)
         return merged
 
     # ------------------------------------------------------------------

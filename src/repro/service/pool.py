@@ -257,8 +257,8 @@ class PoolManager:
             if self.store is not None and stamp is not None:
                 spilled = self.store.load(stamp)
                 if spilled is not None:
-                    sets, state = spilled
-                    entry.reattached = ctx.preload(sets)
+                    block, state = spilled
+                    entry.reattached = ctx.preload(block)
                     ctx.load_state_dict(state)
                     ns = key.namespace
                     self._reattached[ns] = self._reattached.get(ns, 0) + entry.reattached

@@ -250,13 +250,3 @@ def decode_line(line: "bytes | str") -> dict:
     if not isinstance(message, dict):
         raise ProtocolError(f"protocol messages are JSON objects, got {type(message).__name__}")
     return message
-
-
-def error_response(request_id, exc: BaseException) -> dict:
-    """Build the error response dict for one failed request (v0 helper)."""
-    return ErrorResponse.from_exception(request_id, exc).to_wire()
-
-
-def ok_response(request_id, result) -> dict:
-    """Build the success response dict for one request (v0 helper)."""
-    return OkResponse(request_id, result).to_wire()

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import threading
 import time
-import warnings
 from concurrent.futures import Future, ThreadPoolExecutor
 
 from repro.engine.engine import InfluenceEngine
@@ -86,31 +85,18 @@ def _opt_float(value, name: str) -> float | None:
         raise ServiceError(f"{name} must be a number, got {value!r}") from exc
 
 
-def _edge_list(value, name: str, *, weighted: bool, allow_string: bool = True) -> list[tuple]:
+def _edge_list(value, name: str, *, weighted: bool) -> list[tuple]:
     """Parse a wire-format edge list for the ``mutate`` operation.
 
-    The structured form is a list of ``[u, v(, w)]`` rows — the
-    :meth:`repro.dynamic.delta.GraphDelta.as_dict` wire shape.  The
-    legacy string form (comma-separated groups with colon-separated
-    fields, ``"0:1:0.5,2:3:0.25"``) is a **deprecated alias** kept for
-    one release; it warns and will be removed.  Weighted ops
-    (add/reweight) need exactly three fields; removes exactly two.
+    The form is a list of ``[u, v(, w)]`` rows — the
+    :meth:`repro.dynamic.delta.GraphDelta.as_dict` wire shape.  Weighted
+    ops (add/reweight) need exactly three fields; removes exactly two.
     """
     if value is None:
         return []
     if isinstance(value, str):
-        if not allow_string:
-            raise ServiceError(
-                f"{name} must be a list of edge rows, not a string"
-            )
-        warnings.warn(
-            f"string edge lists for mutate ({name}={value!r}) are deprecated; "
-            "send the structured GraphDelta.as_dict() form "
-            '({"delta": {"add": [[u, v, w], ...], ...}})',
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        value = [group.split(":") for group in value.split(",") if group.strip()]
+        row = "[u, v, w]" if weighted else "[u, v]"
+        raise ServiceError(f"{name} must be a list of edge rows [{row}, ...], not a string")
     arity = 3 if weighted else 2
     out = []
     for item in value:
@@ -436,14 +422,14 @@ class InfluenceService:
                 raise ServiceError(f"mutate delta got unknown key(s) {unknown}")
             if any(params.get(k) is not None for k in ("add", "remove", "reweight")):
                 raise ServiceError(
-                    "mutate takes either a structured delta or legacy "
-                    "add/remove/reweight fields, not both"
+                    "mutate takes either a structured delta or flat "
+                    "add/remove/reweight lists, not both"
                 )
             for k in ("add", "remove", "reweight"):
                 params.pop(k, None)
-            add = _edge_list(delta.get("add"), "delta.add", weighted=True, allow_string=False)
-            remove = _edge_list(delta.get("remove"), "delta.remove", weighted=False, allow_string=False)
-            reweight = _edge_list(delta.get("reweight"), "delta.reweight", weighted=True, allow_string=False)
+            add = _edge_list(delta.get("add"), "delta.add", weighted=True)
+            remove = _edge_list(delta.get("remove"), "delta.remove", weighted=False)
+            reweight = _edge_list(delta.get("reweight"), "delta.reweight", weighted=True)
         else:
             add = _edge_list(params.pop("add", None), "add", weighted=True)
             remove = _edge_list(params.pop("remove", None), "remove", weighted=False)

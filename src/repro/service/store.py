@@ -35,6 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.exceptions import ReproError
+from repro.sampling.block import RRBlock
 
 _FORMAT_VERSION = 1
 
@@ -180,8 +181,8 @@ class PoolStore:
     # ------------------------------------------------------------------
     # Reattach
     # ------------------------------------------------------------------
-    def load(self, stamp: dict) -> "tuple[list[np.ndarray], dict] | None":
-        """Load the pool matching ``stamp``: ``(rr_sets, sampler_state)``.
+    def load(self, stamp: dict) -> "tuple[RRBlock, dict] | None":
+        """Load the pool matching ``stamp``: ``(block, sampler_state)``.
 
         Returns ``None`` when no file exists for the stamp.  A file whose
         embedded stamp disagrees with the requested one (hash collision,
@@ -205,11 +206,9 @@ class PoolStore:
             )
         if header.get("stamp") != stamp:
             raise PoolStoreError(f"{path} holds a different stream than requested")
-        count = int(header["count"])
-        if len(offsets) != count + 1:
+        if len(offsets) != int(header["count"]) + 1 or offsets[-1] != flat.size:
             raise PoolStoreError(f"{path} is corrupt: offsets do not match count")
-        sets = [flat[offsets[i] : offsets[i + 1]] for i in range(count)]
-        return sets, header["sampler_state"]
+        return RRBlock(flat, offsets), header["sampler_state"]
 
     def files(self) -> "list[Path]":
         """All spilled pools currently on disk."""

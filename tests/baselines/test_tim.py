@@ -3,20 +3,39 @@
 import numpy as np
 import pytest
 
-from repro.baselines.tim import _rr_width, tim, tim_plus
+from repro.baselines.tim import _kpt_estimation, tim, tim_plus
 from repro.core.dssa import dssa
 from repro.diffusion.spread import estimate_spread
+from repro.engine.context import SamplingContext
 
-from tests.oracles import brute_force_opt
+from tests.oracles import brute_force_opt, reference_kpt_estimation, rr_width
 
 
 class TestRRWidth:
     def test_counts_in_edges(self, tiny_graph):
         # width({2, 3}) = in-deg(2) + in-deg(3) = 2 + 1.
-        assert _rr_width(tiny_graph, np.asarray([2, 3])) == 3
+        assert rr_width(tiny_graph, np.asarray([2, 3])) == 3
 
     def test_empty(self, tiny_graph):
-        assert _rr_width(tiny_graph, np.asarray([], dtype=np.int32)) == 0
+        assert rr_width(tiny_graph, np.asarray([], dtype=np.int32)) == 0
+
+
+class TestKptEstimation:
+    @pytest.mark.parametrize("model", ["IC", "LT"])
+    @pytest.mark.parametrize("k", [1, 5, 40])
+    @pytest.mark.parametrize("max_samples", [None, 300])
+    def test_matches_the_per_set_loop(self, medium_wc_graph, model, k, max_samples):
+        """Block-wise widths give the per-set loop's KPT bit for bit."""
+        delta = 1.0 / medium_wc_graph.n
+        block_ctx = SamplingContext(medium_wc_graph, model, seed=9)
+        per_set_ctx = SamplingContext(medium_wc_graph, model, seed=9)
+        try:
+            got = _kpt_estimation(block_ctx, k, delta, max_samples=max_samples)
+            want = reference_kpt_estimation(per_set_ctx, k, delta, max_samples=max_samples)
+        finally:
+            block_ctx.close()
+            per_set_ctx.close()
+        assert got == want
 
 
 class TestTim:

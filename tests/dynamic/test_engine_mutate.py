@@ -1,5 +1,7 @@
 """Engine / pool-manager / service surface of graph mutation."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -150,7 +152,7 @@ class TestServiceMutate:
         with InfluenceService() as service:
             service.open_session("default", small_wc_graph, model="IC", seed=SEED)
             service.call("maximize", k=3, epsilon=EPS)
-            report = service.call("mutate", remove=f"{u}:{v}")
+            report = service.call("mutate", remove=[[u, v]])
             assert report["graph_version"] == 1
             stats = service.call("stats")
             assert stats["graph_version"] == 1
@@ -162,9 +164,9 @@ class TestServiceMutate:
             with pytest.raises(ServiceError, match="at least one"):
                 service.call("mutate")
             with pytest.raises(ServiceError, match="fields"):
-                service.call("mutate", add="1:2")  # adds need a weight
+                service.call("mutate", add=[[1, 2]])  # adds need a weight
             with pytest.raises(ServiceError, match="unknown parameter"):
-                service.call("mutate", remove="0:1", frobnicate=3)
+                service.call("mutate", remove=[[0, 1]], frobnicate=3)
 
     def test_structured_delta_wire_form(self, small_wc_graph):
         """The v1 wire form is ``GraphDelta.as_dict()`` under ``delta``."""
@@ -182,13 +184,20 @@ class TestServiceMutate:
             service.open_session("default", small_wc_graph, model="IC", seed=SEED)
             with pytest.raises(ServiceError, match="delta"):
                 service.call("mutate", delta={"drop": [[u, v]]})
-            with pytest.raises(ServiceError, match="legacy"):
-                service.call("mutate", delta={"remove": [[u, v]]}, add="1:2:0.5")
+            with pytest.raises(ServiceError, match="not both"):
+                service.call("mutate", delta={"remove": [[u, v]]}, add=[[1, 2, 0.5]])
 
-    def test_legacy_string_edge_lists_warn_deprecation(self, small_wc_graph):
+    def test_string_edge_lists_are_rejected(self, small_wc_graph):
+        """The ``"u:v:w,..."`` string form is gone: flat params and the
+        structured delta both fail with an error naming the list form,
+        and the graph stays at its version."""
         u, v = _existing_edge(small_wc_graph)
         with InfluenceService() as service:
             service.open_session("default", small_wc_graph, model="IC", seed=SEED)
-            with pytest.warns(DeprecationWarning, match="GraphDelta.as_dict"):
-                report = service.call("mutate", remove=f"{u}:{v}")
-            assert report["graph_version"] == 1
+            names_list_form = re.escape("remove must be a list of edge rows [[u, v], ...]")
+            with pytest.raises(ServiceError, match=names_list_form):
+                service.call("mutate", remove=f"{u}:{v}")
+            names_list_form = re.escape("delta.add must be a list of edge rows [[u, v, w], ...]")
+            with pytest.raises(ServiceError, match=names_list_form):
+                service.call("mutate", delta={"add": f"{u}:{v}:0.5"})
+            assert service.call("stats")["graph_version"] == 0

@@ -79,24 +79,36 @@ class TestByteIdentity:
         finally:
             warm.close()
 
-    def test_sets_not_containing_the_target_are_not_resampled(self, small_wc_graph):
-        """The repair is *incremental*: untouched sets keep their exact
-        buffers (object identity), proving no wasted resampling."""
+    def test_sets_not_containing_the_target_are_not_resampled(
+        self, small_wc_graph, monkeypatch
+    ):
+        """The repair is *incremental*: it samples exactly the invalidated
+        ids, and every other set keeps its bytes — no wasted resampling."""
         delta = _localized_delta(small_wc_graph)
         ctx = SamplingContext(small_wc_graph, "IC", seed=SEED)
         try:
             ctx.require(POOL)
             before = [ctx.pool[i] for i in range(POOL)]
             from repro.dynamic.index import RRSetIndex
+            from repro.sampling.base import RRSampler
 
             invalid = set(
                 RRSetIndex.from_collection(ctx.pool).invalidated_by(delta).tolist()
             )
+            asked: list[int] = []
+            sample_block = RRSampler.sample_block
+
+            def spy(self, indices, roots=None):
+                asked.extend(np.asarray(indices).tolist())
+                return sample_block(self, indices, roots)
+
+            monkeypatch.setattr(RRSampler, "sample_block", spy)
             mutated = MutableGraphView(small_wc_graph).apply(delta)
             repair_context(ctx, mutated, 1, delta)
+            assert invalid and sorted(asked) == sorted(invalid)
             for i in range(POOL):
                 if i not in invalid:
-                    assert ctx.pool[i] is before[i]
+                    assert np.array_equal(ctx.pool[i], before[i])
         finally:
             ctx.close()
 

@@ -15,12 +15,14 @@ The module also keeps reference implementations of the RR-pool readers
 that predate the pool's node→set index: greedy and budgeted greedy that
 argsort the range on every call, gather-and-cumsum coverage, and a
 from-scratch index build.  The index-backed readers must reproduce them
-exactly.
+exactly.  TIM's KPT estimation is kept here as its per-set width loop,
+which the block-wise estimation must reproduce to the last bit.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -239,3 +241,37 @@ def reference_budgeted_max_coverage(
     return MaxCoverageResult(
         seeds=seeds, coverage=greedy_cov, num_sets=num_sets, marginal_coverage=marginals
     )
+
+
+# ----------------------------------------------------------------------
+# Reference TIM KPT estimation (one RR set at a time)
+# ----------------------------------------------------------------------
+def rr_width(graph: CSRGraph, rr_set: np.ndarray) -> int:
+    """width(R): number of edges of G entering nodes of R."""
+    return int(np.diff(graph.in_indptr)[rr_set].sum())
+
+
+def reference_kpt_estimation(ctx, k: int, delta: float, *, max_samples=None):
+    """``(KPT, used)`` of TIM's Algorithm 2, summing κ(R) set by set."""
+    graph = ctx.graph
+    n, m = graph.n, graph.m
+    if m == 0:
+        return 1.0, 0
+    log_n = max(math.log2(n), 2.0)
+    base_count = 6.0 * math.log(1.0 / delta) + 6.0 * math.log(log_n)
+    used = 0
+    for i in range(1, int(log_n)):
+        c_i = int(math.ceil(base_count * (2.0**i)))
+        if max_samples is not None:
+            c_i = min(c_i, max_samples)
+        start = used
+        used += c_i
+        pool = ctx.require(used)
+        kappa_sum = 0.0
+        for j in range(start, used):
+            kappa_sum += 1.0 - (1.0 - rr_width(graph, pool[j]) / m) ** k
+        if kappa_sum / c_i > 1.0 / (2.0**i):
+            return max(1.0, n * kappa_sum / (2.0 * c_i)), used
+        if max_samples is not None and used >= max_samples:
+            break
+    return 1.0, used

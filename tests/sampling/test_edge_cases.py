@@ -68,7 +68,7 @@ class TestCollectionStress:
     def test_many_small_appends(self):
         coll = RRCollection(10)
         for i in range(500):
-            coll.append(np.asarray([i % 10], dtype=np.int32))
+            coll.extend([np.asarray([i % 10], dtype=np.int32)])
             # Interleave queries so the lazy flat view recompiles often.
             if i % 97 == 0:
                 assert coll.coverage([0]) >= 0
@@ -77,13 +77,13 @@ class TestCollectionStress:
 
     def test_wide_sets(self):
         coll = RRCollection(1000)
-        coll.append(np.arange(1000, dtype=np.int32))
+        coll.extend([np.arange(1000, dtype=np.int32)])
         assert coll.coverage([999]) == 1
         assert coll.node_frequencies().sum() == 1000
 
     def test_interleaved_range_queries(self):
         coll = RRCollection(5)
         for i in range(20):
-            coll.append(np.asarray([i % 5], dtype=np.int32))
+            coll.extend([np.asarray([i % 5], dtype=np.int32)])
         for start in range(0, 20, 5):
             assert coll.coverage([start % 5], start=start, end=start + 5) >= 1

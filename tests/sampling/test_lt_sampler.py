@@ -81,4 +81,4 @@ class TestCounters:
         batch = sampler.sample_batch(15)
         assert sampler.sets_generated == 15
         assert sampler.entries_generated == sum(len(rr) for rr in batch)
-        assert sampler.sample_batch(0) == []
+        assert len(sampler.sample_batch(0)) == 0

@@ -1,10 +1,15 @@
 """Tests for the RR-set collection and its coverage queries."""
 
+import random
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from repro.core.max_coverage import max_coverage
 from repro.exceptions import SamplingError
+from repro.sampling.block import RRBlock
 from repro.sampling.rr_collection import RRCollection
 
 
@@ -131,7 +136,7 @@ class TestGrowthAfterCompile:
     def test_recompiles_after_append(self):
         coll = make_collection(4, [[0]])
         assert coll.coverage([0]) == 1
-        coll.append(np.asarray([0, 1], dtype=np.int32))
+        coll.extend([np.asarray([0, 1], dtype=np.int32)])
         assert coll.coverage([0]) == 2  # flat view must refresh
         assert coll.coverage([1]) == 1
 
@@ -163,7 +168,7 @@ class TestGrowthAfterCompile:
         coll.extend(np.asarray([i % 10], dtype=np.int32) for i in range(100))
         flat_a, _ = coll.flat_view()
         buffer_a = flat_a.base
-        coll.append(np.asarray([3], dtype=np.int32))
+        coll.extend([np.asarray([3], dtype=np.int32)])
         flat_b, _ = coll.flat_view()
         # 100 compiled entries in a >=1024-slot buffer: appending one more
         # must reuse the same backing buffer, not rebuild it.
@@ -228,3 +233,73 @@ class TestGreedyMemo:
         coll.truncate(2)
         assert before.greedy_memo is not coll.greedy_memo
         assert coll.snapshot().greedy_memo is coll.greedy_memo
+
+
+class TestSnapshotsUnderThreads:
+    def test_snapshots_stay_fixed_while_one_writer_grows_truncates_and_repairs(self):
+        """One writer appends blocks and lists, truncates and repairs under
+        a lock, publishing a snapshot after each write.  Readers check
+        published snapshots against the bytes they were taken over, and
+        read the pool's ``len``/``nbytes``/``memory_bytes`` without the
+        lock, as the pool manager's stats do."""
+        rng = np.random.default_rng(11)
+        pool = RRCollection(40)
+        lock = threading.Lock()
+        published = []  # (snapshot, its flat bytes, its offsets bytes)
+        done = threading.Event()
+        failures = []
+
+        def write():
+            mirror = []
+            try:
+                for step in range(200):
+                    sets = [
+                        rng.integers(0, 40, size=rng.integers(1, 6)).astype(np.int32)
+                        for _ in range(rng.integers(1, 30))
+                    ]
+                    with lock:
+                        if step % 11 == 10:
+                            keep = len(mirror) // 2
+                            pool.truncate(keep)
+                            del mirror[keep:]
+                        elif step % 7 == 6 and mirror:
+                            updates = dict(zip(rng.integers(0, len(mirror), len(sets)).tolist(), sets))
+                            pool.replace_many(updates)
+                            for i, rr in updates.items():
+                                mirror[i] = rr
+                        else:
+                            pool.extend(RRBlock.pack(sets) if step % 2 else sets)
+                            mirror.extend(sets)
+                        want = RRBlock.pack(mirror)
+                        published.append(
+                            (pool.snapshot(), want.flat.tobytes(), want.offsets.tobytes())
+                        )
+            finally:
+                done.set()
+
+        def read(seed):
+            pick = random.Random(seed)
+            while not done.is_set():
+                if not published:
+                    continue
+                snap, flat, offsets = published[pick.randrange(len(published))]
+                if snap.block.flat.tobytes() != flat or snap.block.offsets.tobytes() != offsets:
+                    failures.append("a snapshot's sets changed")
+                if len(pool) < 0 or pool.nbytes < 0 or pool.memory_bytes() < 0:
+                    failures.append("negative pool size")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=write)]
+            threads += [threading.Thread(target=read, args=(i,)) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(published) == 200 and not failures
+        for snap, flat, offsets in published:
+            assert snap.block.flat.tobytes() == flat and snap.block.offsets.tobytes() == offsets
