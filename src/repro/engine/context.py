@@ -1,16 +1,18 @@
 """Warm sampling state shared by a session's queries.
 
 A :class:`SamplingContext` owns exactly what the one-shot algorithms
-used to rebuild per call: a parallel sampler (and with it the execution
-backend — acquired once here, released once in :meth:`close`) plus a
-persistent :class:`~repro.sampling.rr_collection.RRCollection` pool.
-Algorithm bodies ask for *prefixes* of the RR stream via
-:meth:`require`; because the stream is a pure function of the seed
-alone — independent of batching, backend, and worker count (see
-:mod:`repro.sampling.seedstream`) — serving a query from the cached
-pool is byte-identical to resampling it cold, and :meth:`resize` can
-change the worker fleet mid-session without touching a byte.  Reuse is
-free of statistical or reproducibility surprises beyond the documented
+used to rebuild per call: a :class:`~repro.sampling.sharded.ShardedSampler`
+(and with it the execution backend — acquired once here, released once
+in :meth:`close`) plus a persistent
+:class:`~repro.sampling.rr_collection.RRCollection` pool.  Algorithm
+bodies ask for *prefixes* of the RR stream via :meth:`require`.  Set
+``g`` is a pure function of ``(seed, g)`` (see
+:mod:`repro.sampling.seedstream`), so the pool's length *is* the stream
+position: a top-up samples sets ``[len(pool), total)`` by index, and
+truncating, preloading a spill, resizing the fleet or rebinding the
+graph has no second position to keep in step.  Serving a query from the
+cached pool is byte-identical to resampling it cold; reuse is free of
+statistical or reproducibility surprises beyond the documented
 cross-query correlation of shared samples.
 
 The one-shot wrappers (``dssa(...)``, ``ssa(...)``, ...) build a
@@ -27,7 +29,7 @@ from repro.diffusion.models import DiffusionModel
 from repro.exceptions import SamplingError
 from repro.sampling.base import RRSampler, make_sampler
 from repro.sampling.rr_collection import RRCollection
-from repro.sampling.sharded import make_parallel_sampler
+from repro.sampling.sharded import ShardedSampler, default_fleet, make_parallel_sampler
 from repro.utils.rng import spawn_rngs
 
 
@@ -36,8 +38,13 @@ class SamplingContext:
 
     Parameters
     ----------
-    graph, model, roots, horizon, backend, workers:
+    graph, model, roots, horizon:
         As for :func:`repro.sampling.sharded.make_parallel_sampler`.
+    backend, workers:
+        The fleet, resolved by :func:`~repro.sampling.sharded.default_fleet`
+        (with no backend named: serial at one worker, threads above
+        one).  A backend instance serves the first fleet only; a graph
+        rebind builds the next one by its name.
     seed:
         Session seed.  An ``int`` (or ``None``) keeps the context fully
         replayable; a :class:`numpy.random.Generator` is accepted for
@@ -73,14 +80,13 @@ class SamplingContext:
         self.roots = roots
         self.horizon = horizon
         self._seed = seed
-        self._backend = backend
         self._split_verify = split_verify
         self._stored_verify = None
         if split_verify:
             main_rng, self._stored_verify = spawn_rngs(seed, 2)
         else:
             main_rng = seed
-        self.sampler: RRSampler = make_parallel_sampler(
+        self.sampler: ShardedSampler = make_parallel_sampler(
             graph,
             model,
             main_rng,
@@ -91,6 +97,7 @@ class SamplingContext:
             kernel=kernel,
             graph_version=self.graph_version,
         )
+        self._backend = None if backend is None else self.sampler.backend.name
         self.pool = RRCollection(graph.n, stream_id=self.sampler.stream_id)
         self.sampled = 0  # RR sets actually generated into the pool
         self.served = 0  # RR sets demanded by queries (cache hits included)
@@ -108,16 +115,16 @@ class SamplingContext:
     def require(self, total: int) -> RRCollection:
         """Top the pool up to ``total`` sets and return it.
 
-        Cached sets are served as-is; only the deficit is sampled — and
-        the deficit continues the session's pure stream, so the returned
-        prefix ``[0, total)`` matches what a cold run would sample.
+        Cached sets are served as-is; only sets ``[len(pool), total)``
+        are sampled, by index, so the returned prefix ``[0, total)``
+        matches what a cold run would sample.
         """
         if self._closed:
             raise SamplingError("sampling context is closed")
-        deficit = int(total) - len(self.pool)
-        if deficit > 0:
-            self.pool.extend(self.sampler.sample_batch(deficit))
-            self.sampled += deficit
+        count, total = len(self.pool), int(total)
+        if total > count:
+            self.pool.extend(self.sampler.sample_block(np.arange(count, total)))
+            self.sampled += total - count
         return self.pool
 
     def note_query(self, demand: int) -> None:
@@ -156,43 +163,35 @@ class SamplingContext:
         return self.sampler.workers
 
     def resize(self, workers: int) -> None:
-        """Set the sampler's worker count mid-session (byte-invisible).
+        """Set the fleet's worker count mid-session (byte-invisible).
 
         Seed-pure streams make ``workers`` a pure throughput knob, so a
-        resize never changes what any query returns.  A context built
-        without a coordinator (plain in-process sampler) is upgraded in
-        place to a :class:`~repro.sampling.sharded.ShardedSampler`,
-        continuing the stream at the same position — on its configured
-        backend, or on the thread backend when the session never chose
-        one (``backend=None`` means "no parallelism yet", and resizing
-        to W>1 onto a serial fleet would be a silent no-op).
+        resize never changes what any query returns.  When
+        :func:`~repro.sampling.sharded.default_fleet` puts the new count
+        on another backend (no backend named, crossing one worker), the
+        fleet is rebuilt on it; otherwise it is resized in place.
         """
-        from repro.sampling.sharded import ShardedSampler
-
         if self._closed:
             raise SamplingError("sampling context is closed")
-        workers = int(workers)
-        if workers < 1:
-            raise SamplingError(f"workers must be >= 1, got {workers}")
-        if isinstance(self.sampler, ShardedSampler):
+        backend, workers = default_fleet(self._backend, int(workers))
+        if backend == self.sampler.backend.name:
             self.sampler.resize(workers)
             return
-        if workers == 1:
-            return  # a plain sampler already is the one-worker topology
-        state = self.sampler.state_dict()
-        upgraded = ShardedSampler(
-            self.graph,
+        old, self.sampler = self.sampler, self._fleet(self.graph, self.graph_version, workers)
+        old.close()
+
+    def _fleet(self, graph, graph_version: int, workers: int) -> ShardedSampler:
+        """A new fleet on the context's stream, backend and horizon."""
+        return make_parallel_sampler(
+            graph,
             self.model,
-            workers,
             self.sampler.seed_stream,
             roots=self.roots,
             max_hops=self.horizon,
-            backend=self._backend if self._backend is not None else "thread",
-            graph_version=self.graph_version,
+            backend=self._backend,
+            workers=workers,
+            graph_version=graph_version,
         )
-        upgraded.load_state_dict(state)
-        old, self.sampler = self.sampler, upgraded
-        old.close()
 
     # ------------------------------------------------------------------
     # Graph mutation (see repro.dynamic)
@@ -200,17 +199,14 @@ class SamplingContext:
     def rebind_graph(self, graph, graph_version: int) -> None:
         """Move the context onto a mutated graph snapshot, mid-stream.
 
-        The sampler is rebuilt on ``graph`` from the *same* seed stream
-        and continues at the same cursor — seed purity makes position
-        portable across graphs; what changes is which bytes future sets
+        The fleet is rebuilt on ``graph`` from the *same* seed stream at
+        the same worker count; what changes is which bytes future sets
         contain.  The pool is left as-is: the caller owns repairing the
         invalidated sets (:func:`repro.dynamic.repair.repair_context`)
         before serving any query from it.  A node-count change is
         refused while the pool holds sets — no targeted repair exists
         (root selection draws over ``n``); retire the pool instead.
         """
-        from repro.sampling.sharded import ShardedSampler
-
         if self._closed:
             raise SamplingError("sampling context is closed")
         graph_version = int(graph_version)
@@ -220,35 +216,8 @@ class SamplingContext:
                 "stored set is invalid, retire the pool instead of rebinding"
             )
         old = self.sampler
-        state = old.state_dict()
-        state["graph_version"] = graph_version
-        seed_stream = old.seed_stream
-        workers = old.workers
-        if isinstance(old, ShardedSampler):
-            backend = self._backend
-            if backend is not None and not isinstance(backend, str):
-                # The original backend *instance* was consumed (started and
-                # now closed) by the old sampler; rebuild by name.
-                backend = getattr(backend, "name", None)
-            old.close()  # free ports/shm before the replacement fleet starts
-            replacement: RRSampler = ShardedSampler(
-                graph,
-                self.model,
-                workers,
-                seed_stream,
-                roots=self.roots,
-                max_hops=self.horizon,
-                backend=backend if backend is not None else "thread",
-                graph_version=graph_version,
-            )
-        else:
-            old.close()
-            replacement = make_sampler(
-                graph, self.model, seed_stream, roots=self.roots,
-                max_hops=self.horizon, graph_version=graph_version,
-            )
-        replacement.load_state_dict(state)
-        self.sampler = replacement
+        old.close()  # free ports/shm before the replacement fleet starts
+        self.sampler = self._fleet(graph, graph_version, old.workers)
         self.graph = graph
         self.graph_version = graph_version
         if graph.n != self.pool.n:
@@ -256,46 +225,25 @@ class SamplingContext:
             self.pool = RRCollection(graph.n, stream_id=self.sampler.stream_id)
 
     def truncate(self, keep: int) -> int:
-        """Drop pool sets ``[keep, len)`` and reposition the stream.
+        """Drop pool sets ``[keep, len)``; returns the number dropped.
 
-        Per-set seed derivation makes any prefix resumable: the sampler
-        simply seeks to ``keep``, so the next :meth:`require` past the
-        kept prefix re-continues the stream byte-exactly.  Returns the
-        number of sets dropped.  Used by the pool manager's suffix
-        eviction under byte pressure.
+        The next :meth:`require` past ``keep`` samples the dropped sets
+        again, byte-exactly.  Used by the pool manager's suffix eviction
+        under byte pressure.
         """
         if self._closed:
             raise SamplingError("sampling context is closed")
-        dropped = self.pool.truncate(keep)
-        if dropped:
-            self.sampler.seek(len(self.pool), entries=self.pool.total_entries)
-        return dropped
-
-    # ------------------------------------------------------------------
-    # Stream position (pool spill / reattach)
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        """The sampler's stream position (see :meth:`RRSampler.state_dict`)."""
-        return self.sampler.state_dict()
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore a stream position captured by :meth:`state_dict`."""
-        self.sampler.load_state_dict(state)
+        return self.pool.truncate(keep)
 
     def preload(self, rr_sets) -> int:
         """Seed an *empty* pool with previously spilled RR sets.
 
         The sets are served as cache without counting as sampled this
-        session; the caller must also :meth:`load_state_dict` the
-        matching sampler position so later top-ups continue the stream.
+        session; top-ups continue the stream after them.
         """
         if len(self.pool):
             raise SamplingError("can only preload an empty pool")
         self.pool.extend(rr_sets)
-        # Keep the stream position consistent even if the caller skips
-        # load_state_dict: top-ups must continue after the preloaded
-        # prefix, never resample over it.
-        self.sampler.seek(len(self.pool), entries=self.pool.total_entries)
         return len(self.pool)
 
     # ------------------------------------------------------------------

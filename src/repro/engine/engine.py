@@ -52,6 +52,7 @@ from repro.engine.context import SamplingContext
 from repro.engine.registry import AlgorithmSpec, get_algorithm
 from repro.exceptions import ParameterError
 from repro.sampling.seedstream import STREAM_ID
+from repro.sampling.sharded import default_fleet
 
 #: pool floor for :meth:`InfluenceEngine.estimate` on an empty session.
 _DEFAULT_ESTIMATE_SAMPLES = 4096
@@ -112,11 +113,17 @@ class InfluenceEngine:
         replayable.  Pass the same seed to a one-shot function to get
         byte-identical output.
     backend, workers, roots:
-        Execution backend, initial worker count, and root distribution
-        shared by every warm sampling context the session opens.
-        ``workers`` is pure throughput — the stream is identical at any
-        value — and can be changed per query (``maximize(...,
-        workers=)``) or session-wide at runtime (:meth:`resize`).
+        Execution backend name, initial worker count, and root
+        distribution shared by every warm sampling context the session
+        opens.  Each pool starts its own fleet, so ``backend`` is a name
+        (``"serial"``, ``"thread"``, ``"process"``, ``"network"``) or
+        ``None`` — serial at one worker, threads above one; a network
+        fleet's settings come from
+        :func:`~repro.sampling.backends.set_network_defaults` (``--hosts``
+        on the CLI).  ``workers`` is pure throughput — the stream is
+        identical at any value — and can be changed per query
+        (``maximize(..., workers=)``) or session-wide at runtime
+        (:meth:`resize`).
     kernel:
         A kernel name (``"scalar"``, the default, ``"vectorized"``,
         ``"batched"``, ``"lt-batched"`` or ``"auto"``).  Accepted for
@@ -182,6 +189,13 @@ class InfluenceEngine:
             raise ParameterError(
                 "InfluenceEngine needs a replayable session seed (int or None); "
                 "pass a Generator to the one-shot functions instead"
+            )
+        if backend is not None and not isinstance(backend, str):
+            raise ParameterError(
+                "InfluenceEngine takes a backend name or None, not a backend "
+                "instance: every pool starts its own fleet.  Configure network "
+                "fleets with repro.sampling.backends.set_network_defaults "
+                "(--hosts on the CLI)"
             )
         self.seed = int(seed)
         self.kernel = resolve_kernel(kernel)  # validated; selects nothing
@@ -315,24 +329,13 @@ class InfluenceEngine:
 
         Reads the live pool samplers (so per-query ``workers=``
         overrides and resizes show through); with no pool open yet it
-        reports what the first pool would be built with — 1 for serial
-        sessions, the configured count (or this machine's CPU count)
-        for parallel backends.
+        reports what the first pool would be built with
+        (:func:`~repro.sampling.sharded.default_fleet`).
         """
         counts = self._pools.workers_for(self.session)
         if counts:
             return max(counts)
-        from repro.sampling.backends import SerialBackend, default_worker_count
-
-        is_serial = (
-            self.backend is None
-            or (isinstance(self.backend, str)
-                and self.backend.strip().lower() == SerialBackend.name)
-            or isinstance(self.backend, SerialBackend)
-        )
-        if is_serial and self.workers is None:
-            return 1
-        return int(self.workers) if self.workers is not None else default_worker_count()
+        return default_fleet(self.backend, self.workers)[1]
 
     def resize(self, workers: int) -> int:
         """Set the session's worker count at runtime; returns pools resized.

@@ -3,9 +3,8 @@
 This is the default and the reference implementation.  Seed-pure streams
 make workers stateless, so the "fleet" is a single plain sampler that
 computes every shard's batch in worker order; resizing is free.  It
-carries zero startup or transport cost, so it is also what
-single-worker :class:`~repro.sampling.sharded.ShardedSampler` instances
-and small graphs should use.
+carries zero startup or transport cost, so it is what a sampling
+context with no backend named runs at one worker.
 """
 
 from __future__ import annotations

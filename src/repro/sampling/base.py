@@ -13,9 +13,12 @@ each IC edge coin, each LT hop — is a counter-based function of the
 set's key ``key_g = F(seed, g)`` (see :mod:`repro.sampling.seedstream`),
 so the stream is a pure function of the seed alone — independent of
 batching, of the execution backend, of the worker count, and of any
-resize in between.  A sampler's resumable position is therefore a
-single integer (the next global index), which is what
-:meth:`RRSampler.state_dict` captures.
+resize in between.  :meth:`RRSampler.sample_block` computes any sets by
+index; a warm pool's length is its stream position
+(:class:`~repro.engine.context.SamplingContext` tops it up by index).
+Consumers without a pool — SSA's verifier, budgeted D-SSA, the sweep —
+read the stream in order through :meth:`RRSampler.sample`,
+:meth:`RRSampler.sample_batch` and :meth:`RRSampler.seek`.
 """
 
 from __future__ import annotations
@@ -56,9 +59,7 @@ class RRSampler(abc.ABC):
             raise ValueError(f"max_hops must be non-negative, got {max_hops}")
         self.graph = graph
         # Mutation-lineage position of `graph` (0 = the pristine snapshot;
-        # see repro.dynamic).  Captured states refuse to restore across a
-        # version mismatch — a cursor only means "prefix of *this* graph's
-        # stream".
+        # see repro.dynamic); fleets stamp it into their graph manifests.
         self.graph_version = int(graph_version)
         # The stream identity: every draw derives from this key, a global
         # set index and what the draw decides, nothing else.  A Generator
@@ -84,8 +85,8 @@ class RRSampler(abc.ABC):
         """Stream-compatibility token of the derivation.
 
         Two samplers of the same configuration produce byte-identical
-        streams iff their ``stream_id`` matches; pools, spill stamps,
-        and restored states all key on it.
+        streams iff their ``stream_id`` matches; pools and spill stamps
+        key on it.
         """
         return STREAM_ID
 
@@ -96,15 +97,6 @@ class RRSampler(abc.ABC):
         ``Î(S) = Γ · Cov(S) / |R|`` is the (weighted) influence estimate.
         """
         return self.roots.total_benefit
-
-    @property
-    def workers(self) -> int:
-        """Worker-fleet size; 1 for in-process samplers.
-
-        Purely a throughput property — the stream is identical at any
-        value (see :meth:`resize`).
-        """
-        return 1
 
     @abc.abstractmethod
     def _sample_keys(self, keys: np.ndarray, roots) -> RRBlock:
@@ -162,56 +154,14 @@ class RRSampler(abc.ABC):
         self.entries_generated += int(batch.flat.size)
         return batch
 
-    # ------------------------------------------------------------------
-    # Stream-position capture (pool spill / reattach / suffix truncation)
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        """JSON-serializable stream position.
-
-        Seed-pure streams make this a single integer: the next global
-        set index.  Restoring it into any sampler of the same stream —
-        plain or sharded, any backend, any worker count — continues the
-        stream exactly where this one stopped, which is the contract
-        pool spilling and suffix truncation rely on.
-        """
-        return {
-            "stream_id": self.stream_id,
-            "graph_version": int(self.graph_version),
-            "cursor": int(self._cursor),
-            "sets_generated": int(self.sets_generated),
-            "entries_generated": int(self.entries_generated),
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore a position captured by :meth:`state_dict`."""
-        got = state.get("stream_id")
-        if got != self.stream_id:
-            raise SamplingError(
-                f"stream position was captured on stream {got!r}; this "
-                f"sampler produces {self.stream_id!r} — the streams are not "
-                "byte-compatible"
-            )
-        # A state with no graph_version was captured on a static graph.
-        state_version = int(state.get("graph_version", 0))
-        if state_version != self.graph_version:
-            raise SamplingError(
-                f"stream position was captured at graph_version "
-                f"{state_version} but this sampler's graph is at version "
-                f"{self.graph_version}: refusing to continue a stream "
-                "across graph mutations (repair or resample instead)"
-            )
-        self.seek(int(state["cursor"]))
-        self.sets_generated = int(state["sets_generated"])
-        self.entries_generated = int(state["entries_generated"])
-
     def seek(self, index: int, *, entries: int | None = None) -> None:
         """Reposition the stream so the next set generated is ``index``.
 
         Per-set derivation makes any position directly addressable — no
-        replay, no RNG state.  Used by pool suffix truncation (continue
-        from ``keep`` after dropping sets ``[keep, len)``) and by state
-        restores.  ``entries`` optionally resets the lifetime entry
-        counter to match a truncated pool.
+        replay, no RNG state.  ``entries`` optionally resets the lifetime
+        entry counter to match (see
+        :func:`~repro.core.estimate_inf.estimate_influence`, which gives
+        back the sets it drew past its stopping point).
         """
         index = int(index)
         if index < 0:
@@ -220,22 +170,6 @@ class RRSampler(abc.ABC):
         self.sets_generated = index
         if entries is not None:
             self.entries_generated = int(entries)
-
-    def resize(self, workers: int) -> None:
-        """Set the worker-fleet size (a pure throughput knob).
-
-        In-process samplers have no fleet; only ``workers=1`` is a
-        no-op here.  :class:`~repro.sampling.sharded.ShardedSampler`
-        overrides this with a real backend resize, and
-        :meth:`repro.engine.context.SamplingContext.resize` upgrades a
-        plain sampler in place when a session asks for parallelism.
-        """
-        if int(workers) == 1:
-            return
-        raise SamplingError(
-            "this sampler has no worker fleet; construct a ShardedSampler "
-            "(any backend) for elastic workers — the stream is identical"
-        )
 
     def close(self) -> None:
         """Release execution resources; no-op for in-process samplers.

@@ -23,9 +23,9 @@ No draw depends on another, so set ``g``'s bytes are a function of
 
 * **worker count, backend and batching are throughput knobs** — any
   worker may compute any set, in any block, in any visiting order;
-* **stream position is one integer** — a sampler's resumable state is
-  the next global index, which makes spills, reattaches and pool
-  suffix truncation exact;
+* **stream position is one integer** — a pool of sets ``[0, len)`` is
+  continued by sampling from index ``len``, which makes spills,
+  reattaches and pool suffix truncation exact;
 * **coins are keyed on edges, not on positions** — an edge insertion
   moves CSR positions but leaves every other edge's coin alone, which
   is what lets incremental repair reproduce a cold resample.

@@ -14,8 +14,8 @@ to partition global indices round-robin across W workers and
 re-interleave the results.  It hands the per-worker index batches to a
 pluggable :class:`~repro.sampling.backends.base.ExecutionBackend`:
 
-* ``serial`` — workers run sequentially in-process (default; the old
-  simulated topology);
+* ``serial`` — workers run sequentially in-process (one kernel
+  sampler, no transport);
 * ``thread`` — workers run on a persistent thread pool;
 * ``process`` — workers are persistent OS processes that attach the CSR
   graph through shared memory and exchange only index/RR batches;
@@ -33,7 +33,8 @@ continues at W=16.  That invariance is what lets a warm
 :class:`~repro.engine.engine.InfluenceEngine` session reuse a cached RR
 pool as the byte-exact prefix of any cold run.  :class:`ShardedSampler`
 remains a drop-in :class:`~repro.sampling.base.RRSampler`, so
-``ssa(...)`` / ``dssa(...)`` run on it unchanged; see
+``ssa(...)`` / ``dssa(...)`` run on it unchanged, and every
+:class:`~repro.engine.context.SamplingContext` samples through one; see
 ``tests/sampling/test_backends.py`` and
 ``tests/sampling/test_elastic.py`` for the equivalence and unbiasedness
 checks.
@@ -47,7 +48,7 @@ from repro.diffusion.models import DiffusionModel
 from repro.exceptions import SamplingError
 from repro.graph.digraph import CSRGraph
 from repro.sampling.backends import ExecutionBackend, WorkerSpec, make_backend
-from repro.sampling.base import RRSampler, make_sampler
+from repro.sampling.base import RRSampler
 from repro.sampling.block import RRBlock
 from repro.sampling.roots import UniformRoots, WeightedRoots
 
@@ -145,16 +146,21 @@ class ShardedSampler(RRSampler):
         Index ``g`` routes to worker ``g mod W``.  The shards come back
         as one block per worker; concatenated, they hold the batch in
         shard-major order, and one :meth:`~RRBlock.take` restores it.
+        A one-worker fleet is handed the batch itself (no partition
+        temporaries: top-ups run to hundreds of thousands of indices).
         """
         self._sync_fleet()
         workers = self._workers
-        shards = indices % workers
-        index_batches = [indices[shards == w] for w in range(workers)]
+        if workers == 1:
+            parts = [slice(None)]
+        else:
+            shards = indices % workers
+            parts = [shards == w for w in range(workers)]
         root_batches = None
         if roots is not None:
             roots = np.asarray(roots, dtype=np.int64)
-            root_batches = [roots[shards == w] for w in range(workers)]
-        blocks = self.backend.sample_shards(index_batches, root_batches)
+            root_batches = [roots[part] for part in parts]
+        blocks = self.backend.sample_shards([indices[part] for part in parts], root_batches)
         for w, block in enumerate(blocks):
             self._loads[w] += len(block)
         merged = RRBlock.concat(blocks)
@@ -234,6 +240,32 @@ class ShardedSampler(RRSampler):
         self.close()
 
 
+def default_fleet(
+    backend: "str | ExecutionBackend | None", workers: int | None
+) -> "tuple[str | ExecutionBackend, int]":
+    """The ``(backend, workers)`` a fleet runs when the caller leaves
+    either open.
+
+    ``workers=None`` is one worker on the serial backend (named or not)
+    and this machine's CPU count on any other; ``backend=None`` is
+    serial in-process at one worker and threads above one.  Contexts
+    apply this rule at construction and on every resize alike.
+    """
+    from repro.sampling.backends import default_worker_count
+
+    if workers is None:
+        serial = backend is None or (
+            backend.name if isinstance(backend, ExecutionBackend)
+            else str(backend).strip().lower()
+        ) == "serial"
+        workers = 1 if serial else default_worker_count()
+    elif workers < 1:
+        raise SamplingError(f"workers must be >= 1, got {workers}")
+    if backend is None:
+        backend = "serial" if workers == 1 else "thread"
+    return backend, int(workers)
+
+
 def make_parallel_sampler(
     graph: CSRGraph,
     model: "str | DiffusionModel",
@@ -245,33 +277,13 @@ def make_parallel_sampler(
     workers: int | None = None,
     kernel=None,
     graph_version: int = 0,
-) -> RRSampler:
-    """Factory: a plain sampler, or a sharded one when parallelism is asked.
+) -> ShardedSampler:
+    """Factory: a :class:`ShardedSampler` on the fleet
+    :func:`default_fleet` picks for ``(backend, workers)``.
 
-    With no ``backend`` (or an explicitly serial one) and a single worker
-    this returns exactly what :func:`make_sampler` would — same stream
-    (seed-pure streams are worker-count invariant anyway), no coordinator
-    layer.  ``workers=None`` means "pick for me" (1 when serial, the CPU
-    count otherwise); explicit values below 1 are rejected.  Callers
-    should ``close()`` the returned sampler when done (a no-op except
-    for the process backend).
+    Callers should ``close()`` the returned sampler when done.
     """
-    if workers is not None and workers < 1:
-        raise SamplingError(f"workers must be >= 1, got {workers}")
-    from repro.sampling.backends import SerialBackend, default_worker_count
-
-    is_serial = (
-        backend is None
-        or (isinstance(backend, str) and backend.strip().lower() == SerialBackend.name)
-        or isinstance(backend, SerialBackend)
-    )
-    if is_serial and (workers is None or workers == 1):
-        return make_sampler(
-            graph, model, seed, roots=roots, max_hops=max_hops, kernel=kernel,
-            graph_version=graph_version,
-        )
-    if workers is None:
-        workers = default_worker_count()
+    backend, workers = default_fleet(backend, workers)
     return ShardedSampler(
         graph,
         model,

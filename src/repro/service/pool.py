@@ -19,10 +19,10 @@ context of a service (or of a thread-safe
   each top-up batch the manager reclaims bytes from *idle* pools,
   least-recently-used first, until the budget holds again.  A large idle
   pool is first **suffix-truncated** — its sets ``[keep, len)`` are
-  dropped and the sampler seeks back to ``keep``, which per-set seed
-  derivation makes byte-exactly resumable — so a pool loses its cold
-  tail before it loses its hot head; only pools too small to truncate
-  are evicted whole.  Pools with queries in flight are never touched, so
+  dropped, and since a pool's length is its stream position the next
+  top-up resamples them byte-exactly — so a pool loses its cold tail
+  before it loses its hot head; only pools too small to truncate are
+  evicted whole.  Pools with queries in flight are never touched, so
   the hard bound is budget + one in-flight top-up batch per busy pool (a
   single busy pool — the common case — overshoots by at most its one
   crossing batch).
@@ -36,10 +36,10 @@ context of a service (or of a thread-safe
   within-quota tenant's warmth while its own overrun can pay the bill.
 * **Spill / reattach** — with a spill directory configured, evicted and
   closed pools are written through
-  :class:`~repro.service.store.PoolStore` (sets + sampler stream
-  position) and transparently reattached the next time a context with
-  the same stream identity is opened — warmup survives evictions *and*
-  process restarts.
+  :class:`~repro.service.store.PoolStore` (their sets; the count is the
+  stream position) and transparently reattached the next time a context
+  with the same stream identity is opened — warmup survives evictions
+  *and* process restarts.
 """
 
 from __future__ import annotations
@@ -257,9 +257,7 @@ class PoolManager:
             if self.store is not None and stamp is not None:
                 spilled = self.store.load(stamp)
                 if spilled is not None:
-                    block, state = spilled
-                    entry.reattached = ctx.preload(block)
-                    ctx.load_state_dict(state)
+                    entry.reattached = ctx.preload(spilled)
                     ns = key.namespace
                     self._reattached[ns] = self._reattached.get(ns, 0) + entry.reattached
             self._entries[key] = entry
@@ -444,7 +442,7 @@ class PoolManager:
     def _spill_entry(self, entry: _PoolEntry) -> None:
         if self.store is None or entry.stamp is None or not len(entry.ctx.pool):
             return
-        self.store.save(entry.stamp, entry.ctx.pool, entry.ctx.state_dict())
+        self.store.save(entry.stamp, entry.ctx.pool)
 
     # ------------------------------------------------------------------
     # Introspection

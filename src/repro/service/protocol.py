@@ -11,17 +11,14 @@ the typed view of each frame is a dataclass — :class:`Request`,
     {"id": 7, "op": "maximize", "session": "default", "params": {"k": 10}, "proto": 1}
     {"id": 7, "ok": true, "result": {"algorithm": "D-SSA", "seeds": [3, 1]}, "proto": 1}
     {"id": 8, "ok": false, "error": {"type": "ServiceError", "code": "bad_request",
-                                     "message": "..."}}
+                                     "message": "..."}, "proto": 1}
 
 **Versioning.**  ``proto`` declares the protocol revision a client
-speaks; the current revision is :data:`PROTO_VERSION`.  A request
-*without* ``proto`` is an implicit version-0 client (the pre-typed dict
-protocol) and keeps working unchanged: v0 responses carry the same
-``id``/``ok``/``result``/``error.type``/``error.message`` fields they
-always did — everything newer (``error.code``, ``error.details``,
-echoed ``proto``) is additive.  Clients may open with a ``hello`` frame
-to learn the server's revision and op vocabulary before issuing
-queries.
+speaks; the current revision is :data:`PROTO_VERSION`, and every
+response carries it.  A request may omit ``proto`` (it is then read as
+the current revision); a request naming a later revision is rejected.
+Clients may open with a ``hello`` frame to learn the server's revision
+and op vocabulary before issuing queries.
 
 Requests are independent per connection: the server answers each as it
 completes, so responses to pipelined requests may arrive **out of
@@ -76,9 +73,8 @@ def to_jsonable(value):
 class Request:
     """One decoded request frame.
 
-    ``proto`` is the client's declared protocol revision; ``None`` means
-    an implicit version-0 client, whose responses must stay shaped
-    exactly as the pre-typed protocol shaped them.
+    ``proto`` is the client's declared protocol revision (``None`` when
+    the frame names none).
     """
 
     op: str
@@ -132,17 +128,14 @@ class OkResponse:
 
     id: object
     result: object
-    proto: "int | None" = None
 
     @property
     def ok(self) -> bool:
         return True
 
     def to_wire(self) -> dict:
-        message = {"id": self.id, "ok": True, "result": to_jsonable(self.result)}
-        if self.proto is not None:
-            message["proto"] = PROTO_VERSION
-        return message
+        return {"id": self.id, "ok": True, "result": to_jsonable(self.result),
+                "proto": PROTO_VERSION}
 
 
 @dataclass(frozen=True)
@@ -158,7 +151,6 @@ class ErrorResponse:
     error_type: str
     message: str
     details: "dict | None" = None
-    proto: "int | None" = None
 
     @property
     def ok(self) -> bool:
@@ -166,8 +158,7 @@ class ErrorResponse:
 
     @classmethod
     def from_exception(
-        cls, request_id, exc: BaseException, *, proto: "int | None" = None,
-        code: "str | None" = None,
+        cls, request_id, exc: BaseException, *, code: "str | None" = None,
     ) -> "ErrorResponse":
         return cls(
             id=request_id,
@@ -175,17 +166,13 @@ class ErrorResponse:
             error_type=type(exc).__name__,
             message=str(exc),
             details=error_details(exc),
-            proto=proto,
         )
 
     def to_wire(self) -> dict:
         error = {"type": self.error_type, "message": self.message, "code": self.code}
         if self.details is not None:
             error["details"] = to_jsonable(self.details)
-        message = {"id": self.id, "ok": False, "error": error}
-        if self.proto is not None:
-            message["proto"] = PROTO_VERSION
-        return message
+        return {"id": self.id, "ok": False, "error": error, "proto": PROTO_VERSION}
 
 
 def hello_payload(operations=()) -> dict:

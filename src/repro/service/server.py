@@ -114,69 +114,30 @@ class InfluenceServer:
     # ------------------------------------------------------------------
     # Request processing
     # ------------------------------------------------------------------
-    def process_line(self, raw: bytes) -> "tuple[object, bool]":
-        """Handle one request line synchronously (transport-agnostic core).
+    async def _respond(self, raw: bytes):
+        """Decode and dispatch one request line (loop thread).
 
-        Returns ``(response_frame, stop_server)``.  The asyncio path
-        does the same decode/dispatch but awaits the service instead of
-        blocking; this entry point stays for in-process callers and
-        tests that want the protocol without a socket.
+        Returns ``(response_frame, stop_server)``.
         """
-        request, response = self._decode_request(raw)
-        if response is not None:
-            return response, False
-        transport = self._transport_response(request)
-        if transport is not None:
-            return transport
-        try:
-            result = self.service.call(
-                request.op, session=request.session, **request.params
-            )
-            return (
-                OkResponse(request.id, self.service.wire_result(result), proto=request.proto),
-                False,
-            )
-        except (ReproError, ValueError, KeyError, TypeError) as exc:
-            return ErrorResponse.from_exception(request.id, exc, proto=request.proto), False
-
-    def _decode_request(self, raw):
-        """Decode one line to ``(Request, None)`` or ``(None, ErrorResponse)``."""
         request_id = None
         try:
             message = decode_line(raw)
             request_id = message.get("id")
-            return Request.from_wire(message), None
+            request = Request.from_wire(message)
         except (ReproError, ValueError, KeyError, TypeError) as exc:
-            return None, ErrorResponse.from_exception(request_id, exc)
-
-    def _transport_response(self, request: Request):
-        """Answer transport-level ops; ``None`` for service ops."""
+            return ErrorResponse.from_exception(request_id, exc), False
         if request.op == "shutdown":
-            return OkResponse(request.id, {"stopping": True}, proto=request.proto), True
+            return OkResponse(request.id, {"stopping": True}), True
         if request.op == "hello":
-            payload = hello_payload(OPERATIONS + TRANSPORT_OPS)
-            return OkResponse(request.id, payload, proto=request.proto), False
-        return None
-
-    async def _respond(self, raw: bytes):
-        """Async decode/dispatch for one request line (loop thread)."""
-        request, response = self._decode_request(raw)
-        if response is not None:
-            return response, False
-        transport = self._transport_response(request)
-        if transport is not None:
-            return transport
+            return OkResponse(request.id, hello_payload(OPERATIONS + TRANSPORT_OPS)), False
         try:
             future = self.service.submit(
                 request.op, session=request.session, **request.params
             )
             result = await asyncio.wrap_future(future)
-            return (
-                OkResponse(request.id, self.service.wire_result(result), proto=request.proto),
-                False,
-            )
+            return OkResponse(request.id, self.service.wire_result(result)), False
         except (ReproError, ValueError, KeyError, TypeError) as exc:
-            return ErrorResponse.from_exception(request.id, exc, proto=request.proto), False
+            return ErrorResponse.from_exception(request.id, exc), False
 
     # ------------------------------------------------------------------
     # Connection handling (loop thread)
@@ -423,9 +384,6 @@ class InfluenceServer:
     @property
     def stopped(self) -> bool:
         return self._stopped.is_set()
-
-    def wait_stopped(self, timeout: float | None = None) -> bool:
-        return self._stopped.wait(timeout)
 
 
 def serve(

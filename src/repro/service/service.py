@@ -37,6 +37,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 
 from repro.engine.engine import InfluenceEngine
 from repro.engine.registry import get_algorithm, list_algorithms
+from repro.sampling.sharded import default_fleet
 from repro.service.admission import ADMITTED_OPS, AdmissionController, estimate_cost
 from repro.service.errors import (  # noqa: F401  (re-exported compat surface)
     InternalServiceError,
@@ -186,6 +187,9 @@ class InfluenceService:
     ) -> InfluenceEngine:
         """Create a named engine session bound to the shared pool manager.
 
+        ``backend`` is a backend name or ``None``, as for
+        :class:`~repro.engine.engine.InfluenceEngine`.
+
         ``quota_bytes`` caps this session's share of the pool budget:
         over-quota usage reclaims from the session's *own* pools first,
         and the admission controller rejects queries whose predicted
@@ -242,13 +246,14 @@ class InfluenceService:
             engines = dict(self._engines)
         out = {}
         for name, engine in engines.items():
+            backend, workers = default_fleet(engine.backend, engine.active_workers)
             out[name] = {
                 "graph_nodes": engine.graph.n,
                 "graph_edges": engine.graph.m,
                 "model": engine.model.value,
                 "seed": engine.seed,
-                "backend": getattr(engine.backend, "name", engine.backend) or "serial",
-                "workers": engine.active_workers,
+                "backend": backend,
+                "workers": workers,
                 "kernel": engine.kernel.name,
                 "queries": engine.stats_snapshot().queries,
             }

@@ -4,21 +4,23 @@ A session pool is the byte-exact prefix of a pure RR stream identified
 by ``(graph, model, stream derivation, horizon, seed, stream_id)`` —
 note there is **no worker count** in the identity: seed-pure streams are
 worker-invariant, so a pool spilled at W=4 reattaches and continues at
-W=16.  That makes spilling sound: save the sets plus the sampler's
-stream position (for seed-pure streams, a single cursor integer), and
-any later process that builds the *same* stream can serve the saved
-prefix as cache and continue sampling from set ``count`` onward as if it
-had never restarted.
+W=16.  That makes spilling sound: a pool's length is its stream
+position, so saving the sets is saving everything.  Any later process
+that builds the *same* stream can serve the saved prefix as cache and
+continue sampling from set ``count`` onward as if it had never
+restarted.
 
 Files are self-describing ``.npz`` archives: the flat int32 entries, the
-int64 offsets, and a JSON header holding the identity stamp and the
-sampler state.  Identity is content-addressed — the file name is a
-digest of the stamp — so reattachment never needs session names and a
-stale file for a different seed/graph can never be picked up by
-accident.
+int64 offsets, and a JSON header holding the identity stamp and the set
+count.  Identity is content-addressed — the file name is a digest of
+the stamp — so reattachment never needs session names and a stale file
+for a different seed/graph can never be picked up by accident.
 
-**Older spills.**  Stamps embed the derivation's ``stream_id``.  Files
-stamped by earlier derivations — v1 (``(seed, workers)``-derived, with
+**Older spills.**  Headers written before pools carried their own
+position also hold a ``sampler_state`` key; the loader ignores it, so
+those files reattach unchanged (still ``format_version`` 1).  Stamps
+embed the derivation's ``stream_id``.  Files stamped by earlier
+derivations — v1 (``(seed, workers)``-derived, with
 ``workers``/``sampler_kind`` stamp keys) and v2 (one ``stream_id`` per
 kernel, e.g. ``"batched-v2"``) — have content addresses no current
 stamp produces, so looking one up is a clean cache miss, never silent
@@ -127,8 +129,8 @@ class PoolStore:
     # ------------------------------------------------------------------
     # Spill
     # ------------------------------------------------------------------
-    def save(self, stamp: dict, collection, sampler_state: dict) -> Path:
-        """Write one pool: sets + stamp + sampler stream position.
+    def save(self, stamp: dict, collection) -> Path:
+        """Write one pool: its sets under its stamp.
 
         ``collection`` is any object with ``flat_view()`` (an
         :class:`~repro.sampling.rr_collection.RRCollection` or snapshot).
@@ -147,7 +149,6 @@ class PoolStore:
             "format_version": _FORMAT_VERSION,
             "stamp": stamp,
             "count": len(offsets) - 1,
-            "sampler_state": sampler_state,
         }
         header_bytes = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
         path = self.path_for(stamp)
@@ -181,8 +182,8 @@ class PoolStore:
     # ------------------------------------------------------------------
     # Reattach
     # ------------------------------------------------------------------
-    def load(self, stamp: dict) -> "tuple[RRBlock, dict] | None":
-        """Load the pool matching ``stamp``: ``(block, sampler_state)``.
+    def load(self, stamp: dict) -> "RRBlock | None":
+        """Load the sets of the pool matching ``stamp``.
 
         Returns ``None`` when no file exists for the stamp.  A file whose
         embedded stamp disagrees with the requested one (hash collision,
@@ -208,7 +209,7 @@ class PoolStore:
             raise PoolStoreError(f"{path} holds a different stream than requested")
         if len(offsets) != int(header["count"]) + 1 or offsets[-1] != flat.size:
             raise PoolStoreError(f"{path} is corrupt: offsets do not match count")
-        return RRBlock(flat, offsets), header["sampler_state"]
+        return RRBlock(flat, offsets)
 
     def files(self) -> "list[Path]":
         """All spilled pools currently on disk."""

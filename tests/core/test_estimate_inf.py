@@ -92,7 +92,8 @@ class TestEstimation:
         result = estimate_influence(sampler, [0], 0.2, 0.1, max_samples=max_samples)
         assert (result.samples_used, result.successes) == (t, successes)
         assert result.capped == (successes < lambda_2)
-        assert sampler.state_dict() == ref.state_dict()
+        assert sampler.sets_generated == ref.sets_generated
+        assert sampler.entries_generated == ref.entries_generated
         np.testing.assert_array_equal(sampler.sample(), ref.sample())
 
 

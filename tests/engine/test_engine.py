@@ -43,6 +43,50 @@ class TestSessionLifecycle:
         assert engine.closed
 
 
+class TestBackendNames:
+    """Every pool a session opens starts its own fleet, so a session
+    takes a backend *name*; an instance could serve only one pool."""
+
+    def test_backend_instance_is_refused_up_front(self, small_wc_graph):
+        from repro.sampling.backends import ThreadBackend
+
+        with pytest.raises(ParameterError, match="set_network_defaults"):
+            InfluenceEngine(
+                small_wc_graph, model="LT", seed=3, backend=ThreadBackend(), workers=2
+            )
+
+    def test_open_session_refuses_an_instance(self, small_wc_graph):
+        from repro.sampling.backends import SerialBackend
+        from repro.service import InfluenceService
+
+        with InfluenceService() as service:
+            with pytest.raises(ParameterError, match="backend name"):
+                service.open_session("s", small_wc_graph, backend=SerialBackend())
+
+    def test_a_named_backend_serves_every_pool(self, small_wc_graph):
+        """D-SSA, SSA (split stream) and an IC pool in one session: each
+        starts its own thread fleet and answers like its one-shot."""
+        from repro.core.dssa import dssa
+        from repro.core.ssa import ssa
+
+        with InfluenceEngine(
+            small_wc_graph, model="LT", seed=3, backend="thread", workers=2
+        ) as engine:
+            got = [
+                engine.maximize(3, epsilon=0.3),
+                engine.maximize(3, epsilon=0.3, algorithm="SSA"),
+                engine.maximize(3, epsilon=0.3, model="IC"),
+            ]
+            assert len(engine.pool_sizes()) == 3
+        want = [
+            dssa(small_wc_graph, 3, epsilon=0.3, model="LT", seed=3),
+            ssa(small_wc_graph, 3, epsilon=0.3, model="LT", seed=3),
+            dssa(small_wc_graph, 3, epsilon=0.3, model="IC", seed=3),
+        ]
+        for a, b in zip(got, want):
+            assert a.seeds == b.seeds and a.samples == b.samples
+
+
 class TestQueries:
     def test_estimate_matches_oracle(self, tiny_graph):
         with InfluenceEngine(tiny_graph, model="IC", seed=3) as engine:
@@ -100,6 +144,25 @@ class TestSamplingContext:
             assert len(ctx.pool) == 10 and ctx.sampled == 10
             ctx.require(25)
             assert len(ctx.pool) == 25 and ctx.sampled == 25
+
+    def test_no_backend_fleet_follows_one_rule(self, small_wc_graph):
+        """With no backend named, construction and resize agree: serial
+        at one worker, threads above one — and the pool stays the
+        stream's prefix across every move."""
+        from repro.sampling.base import make_sampler
+
+        with SamplingContext(small_wc_graph, "LT", seed=9, workers=3) as ctx:
+            assert (ctx.sampler.backend.name, ctx.workers) == ("thread", 3)
+            ctx.require(10)
+            ctx.resize(1)
+            assert (ctx.sampler.backend.name, ctx.workers) == ("serial", 1)
+            ctx.require(20)
+            ctx.resize(2)
+            assert (ctx.sampler.backend.name, ctx.workers) == ("thread", 2)
+            ctx.require(30)
+            got = [rr.tolist() for rr in ctx.pool.block]
+        want = [rr.tolist() for rr in make_sampler(small_wc_graph, "LT", 9).sample_batch(30)]
+        assert got == want
 
     def test_closed_context_rejects_sampling(self, small_wc_graph):
         ctx = SamplingContext(small_wc_graph, "LT", seed=9)

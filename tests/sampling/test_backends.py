@@ -24,7 +24,7 @@ from repro.sampling.backends import (
     make_backend,
 )
 from repro.sampling.rr_collection import RRCollection
-from repro.sampling.sharded import ShardedSampler, make_parallel_sampler
+from repro.sampling.sharded import ShardedSampler, default_fleet, make_parallel_sampler
 
 from tests.oracles import exact_ic_spread
 
@@ -155,89 +155,32 @@ class TestShardedSamplerBehaviour:
             ShardedSampler(small_wc_graph, "LT", workers=0)
 
 
-class TestStreamStateCapture:
-    """state_dict/load_state_dict continue streams exactly (pool spills)."""
-
-    @pytest.mark.parametrize("backend,workers", [(None, 1), ("serial", 3), ("thread", 2)])
-    def test_restored_sampler_continues_byte_exact(self, small_wc_graph, backend, workers):
-        import json
-
-        first = make_parallel_sampler(
-            small_wc_graph, "LT", 7, backend=backend, workers=workers
-        )
-        try:
-            first.sample_batch(37)
-            state = json.loads(json.dumps(first.state_dict()))  # wire-safe
-            expected = first.sample_batch(23)
-        finally:
-            first.close()
-        second = make_parallel_sampler(
-            small_wc_graph, "LT", 7, backend=backend, workers=workers
-        )
-        try:
-            second.load_state_dict(state)
-            assert second.sets_generated == 37
-            continued = second.sample_batch(23)
-        finally:
-            second.close()
-        for a, b in zip(expected, continued):
-            assert np.array_equal(a, b)
-
-    def test_states_are_worker_free_and_shape_free(self, small_wc_graph):
-        """Seed-pure positions restore across sampler shapes and worker
-        counts — the identity has neither in it."""
-        sharded = ShardedSampler(small_wc_graph, "LT", 2, seed=1, backend="serial")
-        try:
-            sharded.sample_batch(21)
-            state = sharded.state_dict()
-            expected = [rr.tolist() for rr in sharded.sample_batch(9)]
-        finally:
-            sharded.close()
-        assert "workers" not in state and state["stream_id"] == "v3"
-        plain = make_sampler(small_wc_graph, "LT", 1)
-        plain.load_state_dict(state)
-        assert [rr.tolist() for rr in plain.sample_batch(9)] == expected
-        three = ShardedSampler(small_wc_graph, "LT", 3, seed=1, backend="serial")
-        try:
-            three.load_state_dict(state)
-            assert [rr.tolist() for rr in three.sample_batch(9)] == expected
-        finally:
-            three.close()
-
-    def test_legacy_state_kinds_are_refused(self, small_wc_graph):
-        """v1 states (kinds 'plain'/'sharded', RNG blobs) must fail with
-        a clear error, never restore approximately."""
-        sampler = make_sampler(small_wc_graph, "LT", 1)
-        legacy = {
-            "kind": "sharded",
-            "stream_id": "scalar-v1",
-            "workers": 2,
-            "rng": {},
-            "cursor": 10,
-            "loads": [5, 5],
-            "worker_rngs": [{}, {}],
-            "sets_generated": 10,
-            "entries_generated": 40,
-        }
-        with pytest.raises(SamplingError, match="byte-compatible"):
-            sampler.load_state_dict(legacy)
-        with pytest.raises(SamplingError, match="byte-compatible"):
-            sampler.load_state_dict({"kind": "plain", "rng": {}, "sets_generated": 3})
-
-
 class TestMakeParallelSampler:
-    def test_collapses_to_plain_sampler(self, small_wc_graph):
-        plain = make_parallel_sampler(small_wc_graph, "LT", seed=4)
-        assert type(plain) is type(make_sampler(small_wc_graph, "LT", seed=4))
-        a = [rr.tolist() for rr in plain.sample_batch(20)]
-        b = [rr.tolist() for rr in make_sampler(small_wc_graph, "LT", seed=4).sample_batch(20)]
-        assert a == b  # same stream: no hidden coordinator layer
-        plain.close()  # no-op close is part of the contract
+    def test_no_backend_is_serial_at_one_worker_threads_above(self, small_wc_graph):
+        """One rule for a fleet with no backend named, the same rule the
+        context applies on resize."""
+        assert default_fleet(None, None) == ("serial", 1)
+        assert default_fleet(None, 1) == ("serial", 1)
+        assert default_fleet(None, 3) == ("thread", 3)
+        assert default_fleet(" Serial ", None) == (" Serial ", 1)
+        instance = SerialBackend()
+        assert default_fleet(instance, None) == (instance, 1)
+        assert default_fleet("thread", 2) == ("thread", 2)
+        single = make_parallel_sampler(small_wc_graph, "LT", seed=4)
+        try:
+            assert isinstance(single, ShardedSampler)
+            assert single.backend.name == "serial" and single.workers == 1
+            plain = make_sampler(small_wc_graph, "LT", seed=4)
+            assert [rr.tolist() for rr in single.sample_batch(20)] == [
+                rr.tolist() for rr in plain.sample_batch(20)
+            ]
+        finally:
+            single.close()
 
     def test_workers_request_builds_sharded(self, small_wc_graph):
         sampler = make_parallel_sampler(small_wc_graph, "LT", seed=5, workers=3)
         assert isinstance(sampler, ShardedSampler)
-        assert sampler.workers == 3
+        assert sampler.workers == 3 and sampler.backend.name == "thread"
         sampler.close()
 
     def test_backend_without_workers_picks_default_count(self, small_wc_graph):
@@ -245,15 +188,6 @@ class TestMakeParallelSampler:
         assert isinstance(sampler, ShardedSampler)
         assert sampler.workers >= 1
         sampler.close()
-
-    def test_serial_instance_collapses_like_the_name(self, small_wc_graph):
-        """A SerialBackend *instance* gets the same fast path as \"serial\"."""
-        a = make_parallel_sampler(small_wc_graph, "LT", seed=7, backend=SerialBackend())
-        b = make_parallel_sampler(small_wc_graph, "LT", seed=7, backend="serial")
-        assert type(a) is type(b) and not isinstance(a, ShardedSampler)
-        assert [rr.tolist() for rr in a.sample_batch(15)] == [
-            rr.tolist() for rr in b.sample_batch(15)
-        ]
 
     def test_invalid_workers_rejected(self, small_wc_graph):
         for bad in (0, -2):

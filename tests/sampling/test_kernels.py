@@ -194,23 +194,6 @@ class TestDistributionalAgreement:
 
 
 class TestStreamIdentityPlumbing:
-    def test_state_dict_carries_stream_id(self, small_wc_graph):
-        sampler = make_sampler(small_wc_graph, "IC", SEED, kernel="vectorized")
-        assert sampler.state_dict()["stream_id"] == "v3"
-
-    def test_states_of_earlier_derivations_are_refused(self, small_wc_graph):
-        """v2 states (one stream_id per kernel) and unstamped v1 states
-        were captured on other streams: refused, never restored."""
-        sampler = make_sampler(small_wc_graph, "IC", SEED)
-        state = sampler.state_dict()
-        for stale in ("scalar-v2", "batched-v2"):
-            with pytest.raises(SamplingError, match="byte-compatible"):
-                sampler.load_state_dict(dict(state, stream_id=stale))
-        unstamped = dict(state)
-        del unstamped["stream_id"]
-        with pytest.raises(SamplingError, match="byte-compatible"):
-            sampler.load_state_dict(unstamped)
-
     def test_collections_and_snapshots_inherit_stream_id(self, small_wc_graph):
         from repro.sampling.rr_collection import RRCollection
 
@@ -244,12 +227,10 @@ class TestStreamIdentityPlumbing:
             "sampler_kind": "plain",
             "workers": 1,
         }
-        legacy_state = {"kind": "plain", "rng": {}, "sets_generated": 40,
-                        "entries_generated": 160}
         store = PoolStore(tmp_path)
         junk = RRCollection(small_wc_graph.n)
         junk.extend([np.arange(4, dtype=np.int32)] * 40)
-        store.save(legacy_stamp, junk, legacy_state)
+        store.save(legacy_stamp, junk)
 
         with InfluenceEngine(
             small_wc_graph, model="LT", seed=SEED, spill_dir=tmp_path
@@ -273,7 +254,7 @@ class TestStreamIdentityPlumbing:
         v2_stamp = dict(current, stream_id="scalar-v2")
         junk = RRCollection(small_wc_graph.n)
         junk.extend([np.arange(4, dtype=np.int32)] * 40)
-        PoolStore(tmp_path).save(v2_stamp, junk, {"stream_id": "scalar-v2"})
+        PoolStore(tmp_path).save(v2_stamp, junk)
         with InfluenceEngine(
             small_wc_graph, model="LT", seed=SEED, spill_dir=tmp_path
         ) as engine:
@@ -335,17 +316,19 @@ class TestSpillReattach:
         assert warm.influence == cold.influence
 
     def test_spilled_file_embeds_the_stream_position(self, viral_graph, tmp_path):
+        """The position is the set count; no sampler state is written."""
         import json
 
         from repro.service.store import PoolStore
 
-        _spill_run(viral_graph, tmp_path, "vectorized")
+        _result, _reattached, sampled = _spill_run(viral_graph, tmp_path, "vectorized")
         files = PoolStore(tmp_path).files()
         assert files
         with np.load(files[0]) as archive:
             header = json.loads(bytes(archive["header"]).decode())
+            assert header["count"] == sampled == len(archive["offsets"]) - 1
         assert header["stamp"]["stream_id"] == "v3"
-        assert header["sampler_state"]["stream_id"] == "v3"
+        assert "sampler_state" not in header
 
 
 class TestCrossNameIdentity:

@@ -159,18 +159,16 @@ class TestNegotiation:
         assert {"maximize", "mutate", "quota", "metrics_text",
                 "hello", "shutdown"} <= set(hello["ops"])
 
-    def test_v0_frames_get_v0_shaped_responses(self, served):
-        """Pinned compatibility: a request without ``proto`` is an
-        implicit version-0 client and its responses carry no ``proto``
-        key — the pre-typed wire shape, byte for byte (the error
-        ``code`` field is the one sanctioned additive extension)."""
+    def test_frames_without_proto_get_current_responses(self, served):
+        """A request may omit ``proto``; its responses are shaped like
+        every other: ``proto: 1`` on success and on error alike."""
         ok, err = _raw_roundtrip(
             served.address,
             {"id": 7, "op": "ping", "session": "default", "params": {}},
             {"id": 8, "op": "no-such-op", "session": "default", "params": {}},
         )
-        assert ok == {"id": 7, "ok": True, "result": {"pong": True}}
-        assert "proto" not in err
+        assert ok == {"id": 7, "ok": True, "result": {"pong": True}, "proto": 1}
+        assert err["proto"] == 1
         assert err["ok"] is False and err["id"] == 8
         assert set(err["error"]) == {"type", "message", "code"}
         assert err["error"]["code"] == "bad_request"

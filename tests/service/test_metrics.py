@@ -96,9 +96,9 @@ class TestResizeOp:
         assert second.samples == cold_big.samples
 
     def test_resize_upgrades_a_plain_session(self, small_wc_graph):
-        """A session opened without parallelism accepts a resize: the
-        context upgrades to a sharded sampler on a *parallel* (thread)
-        backend — not a silently serial fleet — same stream."""
+        """A session opened without a backend accepts a resize: the
+        context moves from its one-worker serial fleet to a *parallel*
+        (thread) one — not a silently serial fleet — same stream."""
         cold = dssa(small_wc_graph, 4, epsilon=EPS, model="LT", seed=SEED)
         with InfluenceService() as service:
             engine = service.open_session(
@@ -111,6 +111,7 @@ class TestResizeOp:
             assert stats["workers"] == 3
             (entry,) = engine.pool_manager._entries.values()
             assert entry.ctx.sampler.backend.name == "thread"
+            assert service.call("sessions")["default"]["backend"] == "thread"
         assert list(result.seeds) == list(cold.seeds)
         assert result.samples == cold.samples
 
@@ -127,6 +128,16 @@ class TestResizeOp:
             service.call("maximize", k=3, epsilon=EPS, workers=5)
             assert service.call("stats")["workers"] == 5
             assert service.call("sessions")["default"]["workers"] == 5
+
+    def test_sessions_report_the_fleet_before_any_pool(self, small_wc_graph):
+        """Before a pool exists the sessions op reports the fleet the
+        first pool will run: serial at one worker, threads above one."""
+        with InfluenceService() as service:
+            service.open_session("one", small_wc_graph, model="LT", seed=SEED)
+            service.open_session("many", small_wc_graph, model="LT", seed=SEED, workers=3)
+            sessions = service.call("sessions")
+        assert (sessions["one"]["backend"], sessions["one"]["workers"]) == ("serial", 1)
+        assert (sessions["many"]["backend"], sessions["many"]["workers"]) == ("thread", 3)
 
     def test_resize_validation(self, small_wc_graph):
         with InfluenceService() as service:

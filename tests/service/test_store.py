@@ -1,5 +1,7 @@
 """Pool spill / reattach: warmup that survives restarts and evictions."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,31 @@ from repro.service.store import PoolStore, PoolStoreError, graph_signature, make
 
 SEED = 2016
 EPS = 0.25
+
+
+def _write_spill(store, stamp, flat, offsets, **extra):
+    """Write a spill file by hand, with ``extra`` header keys — the
+    ``sampler_state`` earlier releases wrote next to the sets."""
+    header = {"format_version": 1, "stamp": stamp, "count": len(offsets) - 1, **extra}
+    path = store.path_for(stamp)
+    with open(path, "wb") as handle:
+        np.savez(
+            handle,
+            header=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
+            flat=np.ascontiguousarray(flat, dtype=np.int32),
+            offsets=np.ascontiguousarray(offsets, dtype=np.int64),
+        )
+    return path
+
+
+def _read_spill(path):
+    """``(header, flat, offsets)`` of one spill file."""
+    with np.load(path) as archive:
+        return (
+            json.loads(bytes(archive["header"]).decode()),
+            archive["flat"],
+            archive["offsets"],
+        )
 
 
 class TestStampsAndSignatures:
@@ -74,12 +101,11 @@ class TestStoreRoundtrip:
         rng = np.random.default_rng(0)
         pool.extend([rng.integers(0, small_wc_graph.n, size=rng.integers(0, 9)) for _ in range(57)])
         stamp = self._stamp(small_wc_graph)
-        store.save(stamp, pool, {"kind": "plain", "rng": {}, "sets_generated": 57, "entries_generated": 0})
-        sets, state = store.load(stamp)
+        store.save(stamp, pool)
+        sets = store.load(stamp)
         assert len(sets) == 57
         for i, rr in enumerate(sets):
             assert np.array_equal(rr, pool[i])
-        assert state["sets_generated"] == 57
 
     def test_missing_stamp_loads_none(self, small_wc_graph, tmp_path):
         store = PoolStore(tmp_path)
@@ -106,13 +132,11 @@ class TestStoreRoundtrip:
     ):
         """A file of another format version, or whose offsets disagree
         with its set count, is refused by ``load`` — never half-read."""
-        import json
-
         store = PoolStore(tmp_path)
         stamp = self._stamp(small_wc_graph)
         pool = RRCollection(small_wc_graph.n)
         pool.extend([np.arange(3, dtype=np.int32)] * 4)
-        path = store.save(stamp, pool, {"stream_id": "v3"})
+        path = store.save(stamp, pool)
         with np.load(path) as archive:
             arrays = {key: archive[key] for key in archive.files}
         header = json.loads(bytes(arrays["header"]).decode())
@@ -147,9 +171,9 @@ def _legacy_spill(store, graph, *, seed=SEED, workers=2, count=30):
         "sets_generated": count,
         "entries_generated": 4 * count,
     }
-    pool = RRCollection(graph.n)
-    pool.extend([np.arange(4, dtype=np.int32)] * count)
-    return store.save(stamp, pool, state), stamp, state
+    offsets = np.arange(0, 4 * count + 1, 4, dtype=np.int64)
+    flat = np.tile(np.arange(4, dtype=np.int32), count)
+    return _write_spill(store, stamp, flat, offsets, sampler_state=state), stamp, state
 
 
 class TestLegacySpillMigration:
@@ -228,13 +252,15 @@ class TestGraphVersionMigration:
             small_wc_graph, model="LT", stream="direct", horizon=None,
             seed=SEED, sampler=sampler, graph_version=None,
         )
-        sets, state = store.load(stamp)
-        assert "graph_version" in state
-        state = {k: v for k, v in state.items() if k != "graph_version"}
-        legacy_pool = RRCollection(small_wc_graph.n)
-        legacy_pool.extend(sets)
+        header, flat, offsets = _read_spill(store.path_for(stamp))
+        assert "sampler_state" not in header
+        count = header["count"]
         store.path_for(stamp).unlink()  # rewrite in the pre-dynamic shape
-        store.save(stamp, legacy_pool, state)
+        _write_spill(
+            store, stamp, flat, offsets,
+            sampler_state={"kind": "seedpure", "stream_id": "v3", "cursor": count,
+                           "sets_generated": count, "entries_generated": int(flat.size)},
+        )
         with InfluenceEngine(
             small_wc_graph, model="LT", seed=SEED, spill_dir=tmp_path
         ) as second:
@@ -273,23 +299,6 @@ class TestGraphVersionMigration:
         cold = dssa(mutated, 4, epsilon=EPS, model="LT", seed=SEED)
         assert replay.seeds == cold.seeds and replay.samples == cold.samples
 
-    def test_versioned_state_refuses_a_version_zero_session(
-        self, small_wc_graph, tmp_path
-    ):
-        """A spill whose stream position was captured at graph_version 1
-        must not continue a version-0 stream: the sampler refuses the
-        state instead of silently mixing lineages."""
-        from repro.exceptions import SamplingError
-        from repro.sampling.base import make_sampler
-
-        sampler = make_sampler(small_wc_graph, "LT", SEED)
-        sampler.sample_batch(10)
-        state = sampler.state_dict()
-        state["graph_version"] = 1
-        fresh = make_sampler(small_wc_graph, "LT", SEED)
-        with pytest.raises(SamplingError, match="graph_version"):
-            fresh.load_state_dict(state)
-
 
 class TestEngineReattach:
     """The acceptance path: spill in one session, warm-start the next."""
@@ -318,6 +327,39 @@ class TestEngineReattach:
             small_wc_graph, 8, epsilon=0.2, model="LT", seed=SEED,
             backend=backend, workers=workers,
         )
+        assert bigger.seeds == cold.seeds and bigger.samples == cold.samples
+
+    def test_spill_with_a_sampler_state_reattaches_and_continues(
+        self, small_wc_graph, tmp_path
+    ):
+        """Spills written while samplers kept their own position carry a
+        ``sampler_state`` header key next to the sets.  The loader
+        ignores it: the pool reattaches as pure cache, and over-demand
+        continues the stream byte-exactly from the set count."""
+        with InfluenceEngine(
+            small_wc_graph, model="LT", seed=SEED, spill_dir=tmp_path
+        ) as first:
+            warm = first.maximize(4, epsilon=EPS)
+        store = PoolStore(tmp_path)
+        (path,) = store.files()
+        header, flat, offsets = _read_spill(path)
+        count = header["count"]
+        path.unlink()
+        _write_spill(
+            store, header["stamp"], flat, offsets,
+            sampler_state={"stream_id": "v3", "graph_version": 0, "cursor": count,
+                           "sets_generated": count, "entries_generated": int(flat.size)},
+        )
+        with InfluenceEngine(
+            small_wc_graph, model="LT", seed=SEED, spill_dir=tmp_path
+        ) as second:
+            replay = second.maximize(4, epsilon=EPS)
+            assert second.stats.rr_sampled == 0
+            assert second.pool_manager.reattached_for(second.session) == count
+            bigger = second.maximize(8, epsilon=0.2)
+            assert second.stats.rr_sampled > 0
+        assert replay.seeds == warm.seeds and replay.samples == warm.samples
+        cold = dssa(small_wc_graph, 8, epsilon=0.2, model="LT", seed=SEED)
         assert bigger.seeds == cold.seeds and bigger.samples == cold.samples
 
     def test_reattach_across_worker_counts_and_backends(self, small_wc_graph, tmp_path):
