@@ -197,6 +197,8 @@ class InfluenceEngine:
                 "fleets with repro.sampling.backends.set_network_defaults "
                 "(--hosts on the CLI)"
             )
+        if workers is not None and int(workers) < 1:
+            raise ParameterError(f"workers must be >= 1, got {workers}")
         self.seed = int(seed)
         self.kernel = resolve_kernel(kernel)  # validated; selects nothing
         self.backend = backend

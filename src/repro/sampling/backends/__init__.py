@@ -30,16 +30,24 @@ BACKENDS: dict[str, type[ExecutionBackend]] = {
 }
 
 
-def make_backend(backend: "str | ExecutionBackend | None") -> ExecutionBackend:
+def backend_key(backend: "str | ExecutionBackend") -> str:
+    """The registry name a backend name (any case/padding) or instance
+    stands for."""
+    if isinstance(backend, ExecutionBackend):
+        return backend.name
+    return str(backend).strip().lower()
+
+
+def make_backend(backend: "str | ExecutionBackend") -> ExecutionBackend:
     """Coerce a backend name (or pass through an instance) to a backend.
 
-    ``None`` means the default (:class:`SerialBackend`).
+    ``None`` names no backend: which one a fleet runs when the caller
+    leaves it open depends on the worker count, and
+    :func:`~repro.sampling.sharded.default_fleet` alone decides it.
     """
-    if backend is None:
-        return SerialBackend()
     if isinstance(backend, ExecutionBackend):
         return backend
-    key = str(backend).strip().lower()
+    key = backend_key(backend)
     if key not in BACKENDS:
         raise SamplingError(
             f"unknown execution backend {backend!r}; known: {sorted(BACKENDS)}"
@@ -55,6 +63,7 @@ __all__ = [
     "ProcessBackend",
     "NetworkBackend",
     "BACKENDS",
+    "backend_key",
     "make_backend",
     "default_worker_count",
     "parse_hosts_spec",

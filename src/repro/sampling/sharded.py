@@ -47,7 +47,14 @@ import numpy as np
 from repro.diffusion.models import DiffusionModel
 from repro.exceptions import SamplingError
 from repro.graph.digraph import CSRGraph
-from repro.sampling.backends import ExecutionBackend, WorkerSpec, make_backend
+from repro.sampling.backends import (
+    ExecutionBackend,
+    SerialBackend,
+    WorkerSpec,
+    backend_key,
+    default_worker_count,
+    make_backend,
+)
 from repro.sampling.base import RRSampler
 from repro.sampling.block import RRBlock
 from repro.sampling.roots import UniformRoots, WeightedRoots
@@ -61,16 +68,18 @@ class ShardedSampler(RRSampler):
     graph, model:
         As for :func:`repro.sampling.base.make_sampler`.
     workers:
-        Initial worker count — pure throughput, resizable at runtime via
-        :meth:`resize`; the stream is identical at every value.
+        Initial worker count (``None``: :func:`default_fleet`'s pick) —
+        pure throughput, resizable at runtime via :meth:`resize`; the
+        stream is identical at every value.
     seed, roots:
         Stream seed (every set key derives from it) and root
         distribution (shipped to workers — each set's root is drawn from
         the set's own key, so WRIS shards exactly like RIS).
     backend:
         Backend name (``"serial"``, ``"thread"``, ``"process"``,
-        ``"network"``) or a not-yet-started :class:`ExecutionBackend`
-        instance.
+        ``"network"``), a not-yet-started :class:`ExecutionBackend`
+        instance, or ``None`` for :func:`default_fleet`'s pick (serial at
+        one worker, threads above one).
     kernel:
         Accepted kernel name (see :mod:`repro.sampling.kernels`); it
         selects nothing and never reaches the workers.
@@ -80,7 +89,7 @@ class ShardedSampler(RRSampler):
         self,
         graph: CSRGraph,
         model: "str | DiffusionModel",
-        workers: int,
+        workers: int | None,
         seed=None,
         *,
         roots: "UniformRoots | WeightedRoots | None" = None,
@@ -89,14 +98,12 @@ class ShardedSampler(RRSampler):
         kernel=None,
         graph_version: int = 0,
     ) -> None:
-        if workers < 1:
-            raise SamplingError(f"need at least one worker, got {workers}")
+        backend, self._workers = default_fleet(backend, workers)
         self.model = DiffusionModel.parse(model)
         super().__init__(
             graph, seed, roots=roots, max_hops=max_hops, kernel=kernel,
             graph_version=graph_version,
         )
-        self._workers = int(workers)
         self.backend = make_backend(backend)
         self.backend.start(
             WorkerSpec(
@@ -146,21 +153,16 @@ class ShardedSampler(RRSampler):
         Index ``g`` routes to worker ``g mod W``.  The shards come back
         as one block per worker; concatenated, they hold the batch in
         shard-major order, and one :meth:`~RRBlock.take` restores it.
-        A one-worker fleet is handed the batch itself (no partition
-        temporaries: top-ups run to hundreds of thousands of indices).
         """
         self._sync_fleet()
         workers = self._workers
-        if workers == 1:
-            parts = [slice(None)]
-        else:
-            shards = indices % workers
-            parts = [shards == w for w in range(workers)]
+        shards = indices % workers
+        index_batches = [indices[shards == w] for w in range(workers)]
         root_batches = None
         if roots is not None:
             roots = np.asarray(roots, dtype=np.int64)
-            root_batches = [roots[part] for part in parts]
-        blocks = self.backend.sample_shards([indices[part] for part in parts], root_batches)
+            root_batches = [roots[shards == w] for w in range(workers)]
+        blocks = self.backend.sample_shards(index_batches, root_batches)
         for w, block in enumerate(blocks):
             self._loads[w] += len(block)
         merged = RRBlock.concat(blocks)
@@ -248,16 +250,12 @@ def default_fleet(
 
     ``workers=None`` is one worker on the serial backend (named or not)
     and this machine's CPU count on any other; ``backend=None`` is
-    serial in-process at one worker and threads above one.  Contexts
-    apply this rule at construction and on every resize alike.
+    serial in-process at one worker and threads above one.  Every
+    :class:`ShardedSampler` applies this rule at construction, and a
+    :class:`~repro.engine.context.SamplingContext` on every resize.
     """
-    from repro.sampling.backends import default_worker_count
-
     if workers is None:
-        serial = backend is None or (
-            backend.name if isinstance(backend, ExecutionBackend)
-            else str(backend).strip().lower()
-        ) == "serial"
+        serial = backend is None or backend_key(backend) == SerialBackend.name
         workers = 1 if serial else default_worker_count()
     elif workers < 1:
         raise SamplingError(f"workers must be >= 1, got {workers}")
@@ -283,7 +281,6 @@ def make_parallel_sampler(
 
     Callers should ``close()`` the returned sampler when done.
     """
-    backend, workers = default_fleet(backend, workers)
     return ShardedSampler(
         graph,
         model,

@@ -63,6 +63,19 @@ class TestBackendNames:
             with pytest.raises(ParameterError, match="backend name"):
                 service.open_session("s", small_wc_graph, backend=SerialBackend())
 
+    def test_open_session_refuses_zero_workers(self, small_wc_graph):
+        """A bad worker count fails when the session opens, so the
+        ``sessions`` summary never meets an engine it cannot describe."""
+        from repro.service import InfluenceService
+
+        with InfluenceService() as service:
+            service.open_session("ok", small_wc_graph, model="LT", workers=2)
+            for bad in (0, -1):
+                with pytest.raises(ParameterError, match="workers must be >= 1"):
+                    service.open_session("bad", small_wc_graph, workers=bad)
+            assert set(service.sessions()) == {"ok"}
+            assert service.sessions()["ok"]["backend"] == "thread"
+
     def test_a_named_backend_serves_every_pool(self, small_wc_graph):
         """D-SSA, SSA (split stream) and an IC pool in one session: each
         starts its own thread fleet and answers like its one-shot."""

@@ -43,14 +43,19 @@ class TestRegistry:
         assert set(BACKENDS) == {"serial", "thread", "process", "network"}
 
     def test_make_backend_coercion(self):
-        assert isinstance(make_backend(None), SerialBackend)
-        assert isinstance(make_backend("thread"), ThreadBackend)
+        assert isinstance(make_backend(" Thread "), ThreadBackend)
         instance = ThreadBackend()
         assert make_backend(instance) is instance
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(SamplingError):
             make_backend("gpu")
+
+    def test_no_backend_is_not_a_backend(self):
+        """``None`` is resolved against a worker count (``default_fleet``),
+        never by ``make_backend`` on its own."""
+        with pytest.raises(SamplingError, match="unknown execution backend"):
+            make_backend(None)
 
     @pytest.mark.parametrize("name", ["serial", "thread", "process", "network"])
     def test_close_before_start_is_safe(self, name):
@@ -182,6 +187,11 @@ class TestMakeParallelSampler:
         assert isinstance(sampler, ShardedSampler)
         assert sampler.workers == 3 and sampler.backend.name == "thread"
         sampler.close()
+
+    def test_direct_construction_follows_the_same_rule(self, small_wc_graph):
+        for workers, name in ((1, "serial"), (3, "thread")):
+            with ShardedSampler(small_wc_graph, "LT", workers, seed=5) as sampler:
+                assert (sampler.backend.name, sampler.workers) == (name, workers)
 
     def test_backend_without_workers_picks_default_count(self, small_wc_graph):
         sampler = make_parallel_sampler(small_wc_graph, "LT", seed=6, backend="thread")
