@@ -47,15 +47,12 @@ class TestRegistry:
         instance = ThreadBackend()
         assert make_backend(instance) is instance
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(SamplingError):
-            make_backend("gpu")
-
-    def test_no_backend_is_not_a_backend(self):
+    @pytest.mark.parametrize("name", ["gpu", None])
+    def test_unknown_backend_rejected(self, name):
         """``None`` is resolved against a worker count (``default_fleet``),
         never by ``make_backend`` on its own."""
         with pytest.raises(SamplingError, match="unknown execution backend"):
-            make_backend(None)
+            make_backend(name)
 
     @pytest.mark.parametrize("name", ["serial", "thread", "process", "network"])
     def test_close_before_start_is_safe(self, name):
