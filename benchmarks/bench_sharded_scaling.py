@@ -39,12 +39,12 @@ def _load_graph(dataset: str, scale: float):
     return load_dataset(dataset, scale=scale)
 
 
-def _seeds_from(sampler, graph, pool_size: int, k: int):
+def _seeds_from(block, graph, k: int):
     from repro.core.max_coverage import max_coverage
     from repro.sampling.rr_collection import RRCollection
 
     pool = RRCollection(graph.n)
-    pool.extend(sampler.sample_batch(pool_size))
+    pool.extend(block)
     return max_coverage(pool, k).seeds
 
 
@@ -98,7 +98,7 @@ def run_scaling(args: argparse.Namespace) -> int:
     for backend in ("serial", "thread"):
         sampler = ShardedSampler(graph, args.model, check_workers, seed=args.seed, backend=backend)
         try:
-            seed_sets[backend] = list(_seeds_from(sampler, graph, 2000, 10))
+            seed_sets[backend] = list(_seeds_from(sampler.sample_batch(2000), graph, 10))
         finally:
             sampler.close()
     identical = seed_sets["serial"] == seed_sets["thread"]
@@ -160,8 +160,11 @@ if pytest is not None:
         return _load_graph("dblp", BENCH_SCALE)
 
     def test_sharded_equivalence_report(graph, benchmark):
+        import numpy as np
+
         from repro.diffusion.spread import estimate_spread
         from repro.sampling.base import make_sampler
+        from repro.sampling.block import RRBlock
         from repro.sampling.sharded import ShardedSampler
         from repro.utils.tables import format_table
 
@@ -176,14 +179,16 @@ if pytest is not None:
             else:
                 sampler = ShardedSampler(graph, "LT", workers, seed=77, backend=backend)
             try:
-                seeds = _seeds_from(sampler, graph, _POOL, _K)
+                # The backend's runs: one per worker it engaged.
+                runs = (
+                    sampler.backend.sample_shards(np.arange(_POOL))
+                    if isinstance(sampler, ShardedSampler)
+                    else [sampler.sample_batch(_POOL)]
+                )
+                seeds = _seeds_from(RRBlock.concat(runs), graph, _K)
                 quality = estimate_spread(graph, seeds, "LT", simulations=200, seed=5).mean
                 qualities[label] = quality
-                load = (
-                    sampler.per_worker_load()
-                    if isinstance(sampler, ShardedSampler)
-                    else [_POOL]
-                )
+                load = [len(run) for run in runs]
                 rows.append([label, workers, round(quality, 1), max(load) - min(load)])
             finally:
                 sampler.close()

@@ -750,7 +750,7 @@ def build_parser() -> argparse.ArgumentParser:
             "by hash in --cache-dir across restarts), and serve RR-set "
             "batches until the coordinator closes the connection.  Workers "
             "are stateless: kill one at any time, start one late — the "
-            "coordinator re-partitions over the live fleet and the merged "
+            "coordinator splits each batch over the live fleet and the merged "
             "stream is byte-identical either way."
         ),
     )

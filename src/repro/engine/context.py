@@ -100,8 +100,6 @@ class SamplingContext:
         self._backend = None if backend is None else self.sampler.backend.name
         self.pool = RRCollection(graph.n, stream_id=self.sampler.stream_id)
         self.sampled = 0  # RR sets actually generated into the pool
-        self.served = 0  # RR sets demanded by queries (cache hits included)
-        self.queries = 0
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -126,11 +124,6 @@ class SamplingContext:
             self.pool.extend(self.sampler.sample_block(np.arange(count, total)))
             self.sampled += total - count
         return self.pool
-
-    def note_query(self, demand: int) -> None:
-        """Record one finished query and its total RR-set demand."""
-        self.queries += 1
-        self.served += int(demand)
 
     def fresh_verifier(self) -> RRSampler:
         """A verification-stream sampler, derived as a cold run derives it.

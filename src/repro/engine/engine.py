@@ -412,7 +412,6 @@ class InfluenceEngine:
                 view, k, epsilon=epsilon, delta=delta, max_samples=max_samples, **algorithm_kwargs
             )
             demand = int(result.optimization_samples)
-            view.note_query(demand)
             sampled = view.sampled
         self._account(demand=demand, sampled=sampled)
         return result
@@ -472,7 +471,6 @@ class InfluenceEngine:
                 else max(len(view.pool), _DEFAULT_ESTIMATE_SAMPLES)
             )
             pool = view.require(target)
-            view.note_query(target)
             sampled = view.sampled
             estimate = view.scale * pool.coverage(seeds, start=0, end=target) / target
         self._account(demand=target, sampled=sampled)

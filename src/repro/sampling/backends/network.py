@@ -16,19 +16,22 @@ hosts dial in (``repro worker --connect HOST:PORT``), register under a
 already cache it, and then serve global-index batches over
 length-prefixed frames (:mod:`repro.sampling.backends.netproto`).
 
-Fault tolerance falls out of statelessness:
+Fault tolerance falls out of statelessness, through the
+dispatch-and-retry loop the process fleet shares
+(:class:`~repro.sampling.backends.base.WorkerFleet`):
 
-* hosts may **join and leave mid-stream** — the coordinator simply
-  re-partitions the next index batch over the live lease set, and the
-  merged stream cannot tell the difference (byte-invisible churn);
-* a crashed or lease-expired host's **in-flight indices are retried on
-  survivors byte-identically**; the crash context (lease, label, pid,
+* hosts may **join and leave mid-stream** — each index batch is cut
+  into one contiguous run per live lease, and the merged stream cannot
+  tell the difference (byte-invisible churn);
+* a crashed or lease-expired host's **in-flight run is resent to a
+  survivor byte-identically**; the crash context (lease, label, pid,
   stderr tail for locally spawned hosts) lands in
   :attr:`~repro.sampling.backends.base.ExecutionBackend.fault_log`
   instead of raising, and :attr:`respawns` counts replacement workers;
-* only a fleet with **no live hosts after a join grace period** — or a
-  worker *reply* reporting an application error, which would recur on
-  any host — surfaces a :class:`~repro.exceptions.SamplingError`.
+* only a fleet with **no live hosts after a join grace period**, a
+  crash loop that exhausts the retry budget, or a worker *reply*
+  reporting an application error, which would recur on any host,
+  surfaces a :class:`~repro.exceptions.SamplingError`.
 
 By default the backend is **self-hosting**: ``start`` spawns
 ``spec.workers`` loopback ``repro worker`` subprocesses, so
@@ -52,16 +55,16 @@ import tempfile
 import threading
 import time
 from dataclasses import replace
-from typing import Sequence
-
-import numpy as np
 
 from repro.exceptions import SamplingError
 from repro.graph.shm import pack_csr_graph, unpack_csr_graph, verify_blob
 from repro.sampling.backends.base import (
-    ExecutionBackend,
+    WorkerFailed,
+    WorkerFleet,
+    WorkerLost,
     WorkerSpec,
     build_worker_sampler,
+    remove_file,
     run_worker_batch,
 )
 from repro.sampling.block import RRBlock
@@ -73,11 +76,6 @@ from repro.sampling.backends.netproto import (
     send_frame,
     store_cached_blob,
 )
-
-_STDERR_TAIL_BYTES = 2048
-# Consecutive all-fault dispatch rounds tolerated before the accumulated
-# crash context is raised (a crash *loop* must not retry forever).
-_MAX_BARREN_ROUNDS = 3
 
 #: Module-level defaults for :class:`NetworkBackend` construction.  The
 #: CLI's ``--hosts`` flag rewrites these (via :func:`set_network_defaults`)
@@ -159,6 +157,7 @@ class _HostLease:
         self.death_reason = ""
         self.last_beat = time.monotonic()
         self.batches_dispatched = 0
+        self.batch_seq = 0  # sequence number of this lease's batch in flight
         self.replies: "queue.Queue[tuple]" = queue.Queue()
         self._send_lock = threading.Lock()
         self._death_lock = threading.Lock()
@@ -199,7 +198,7 @@ class _HostLease:
         return f"host {self.label!r} (lease {self.lease_id}, pid {self.pid}, {self.peer})"
 
 
-class NetworkBackend(ExecutionBackend):
+class NetworkBackend(WorkerFleet):
     """Coordinator for a TCP worker-host fleet under heartbeat leases."""
 
     name = "network"
@@ -226,16 +225,14 @@ class NetworkBackend(ExecutionBackend):
         self._join_grace = float(pick(join_grace, "join_grace"))
         self._owns_cache_dir = False
         self._spawn_managed = True
-        # Intended self-hosted fleet size.  Deliberately separate from
-        # _spec.workers: sync_fleet shrinks the *partition width* to the
-        # live host count after a death, but the fleet must still heal
-        # back to the size it was asked for.
+        # Intended self-hosted fleet size, which the reaper heals back to.
+        # Separate from _spec.workers: spawn=N and add_local_worker set
+        # it without touching the nominal worker count.
         self._fleet_target = 0
         self._lock = threading.RLock()
         self._cond = threading.Condition(self._lock)
         self._hosts: dict[int, _HostLease] = {}
         self._lease_seq = 0
-        self._batch_seq = 0
         self._spawn_seq = 0
         self._spawn_procs: list[dict] = []
         self._listener_sock: "socket.socket | None" = None
@@ -277,11 +274,15 @@ class NetworkBackend(ExecutionBackend):
             raise SamplingError(str(exc)) from exc
         try:
             self._stopping.clear()
-            listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+            listener = self._listener_sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
             listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            listener.bind((host, port))
+            try:
+                listener.bind((host, port))
+            except OSError as exc:
+                raise SamplingError(
+                    f"network fleet cannot listen on {host}:{port}: {exc}"
+                ) from exc
             listener.listen(64)
-            self._listener_sock = listener
             self._spawn_thread(self._accept_loop, "rr-net-accept")
             self._spawn_thread(self._reaper_loop, "rr-net-reaper")
             if self._spawn_managed:
@@ -323,22 +324,19 @@ class NetworkBackend(ExecutionBackend):
         for host in live[workers:]:
             self._retire_host(host, "retired by resize")
 
-    def sync_fleet(self) -> int:
-        """Adopt the live lease count as the nominal worker count."""
-        if not self.started:
-            raise SamplingError(f"{type(self).__name__} is not running (start it first)")
-        with self._cond:
-            live = len(self._ready_hosts_locked())
-        if live > 0 and live != self._spec.workers:
-            self._spec = replace(self._spec, workers=live)
-        return self._spec.workers
-
     def _close(self) -> None:
         self._teardown()
 
     def _teardown(self) -> None:
         self._stopping.set()
         if self._listener_sock is not None:
+            # shutdown() before close(), as in _HostLease.mark_dead: close
+            # alone neither wakes the thread blocked in accept() nor
+            # frees the port until that thread returns.
+            try:
+                self._listener_sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 self._listener_sock.close()
             except OSError:
@@ -362,7 +360,7 @@ class NetworkBackend(ExecutionBackend):
                     proc.wait(timeout=5)
                 except subprocess.TimeoutExpired:
                     pass
-            self._remove_file(entry["stderr"])
+            remove_file(entry["stderr"])
         for thread in self._threads:
             thread.join(timeout=5)
         self._threads = []
@@ -475,8 +473,9 @@ class NetworkBackend(ExecutionBackend):
                     f"{now - host.last_beat:.1f}s (ttl {self._lease_ttl:.1f}s)"
                 )
                 if host.ready:
-                    self._record_fault(host, reason)
-                self._retire_host(host, reason)
+                    self._lose(host, reason)
+                else:
+                    self._retire_host(host, reason)
 
     def _retire_host(self, host: _HostLease, reason: str) -> None:
         if host.mark_dead(reason):
@@ -530,32 +529,11 @@ class NetworkBackend(ExecutionBackend):
         if not self._spawn_managed or self._stopping.is_set():
             return
         for entry in [e for e in self._spawn_procs if e["proc"].poll() is not None]:
-            self._remove_file(entry["stderr"])
+            remove_file(entry["stderr"])
             self._spawn_procs.remove(entry)
         while len(self._spawn_procs) < self._fleet_target:
             self._spawn_local_worker()
             self.respawns += 1
-
-    @staticmethod
-    def _remove_file(path: str) -> None:
-        try:
-            os.unlink(path)
-        except OSError:
-            pass
-
-    def _stderr_tail_for(self, label: str) -> str:
-        for entry in self._spawn_procs:
-            if entry["label"] != label:
-                continue
-            try:
-                with open(entry["stderr"], "rb") as handle:
-                    handle.seek(0, os.SEEK_END)
-                    size = handle.tell()
-                    handle.seek(max(0, size - _STDERR_TAIL_BYTES))
-                    return handle.read().decode("utf-8", errors="replace").strip()
-            except OSError:
-                return ""
-        return ""
 
     # ------------------------------------------------------------------
     # Live-set queries and fault context
@@ -586,18 +564,6 @@ class NetworkBackend(ExecutionBackend):
                 }
                 for h in sorted(self._hosts.values(), key=lambda h: h.lease_id)
             ]
-
-    def _record_fault(self, host: _HostLease, why: str) -> str:
-        fault = f"{host.describe()} {why}; batches dispatched to it: {host.batches_dispatched}"
-        tail = self._stderr_tail_for(host.label)
-        if tail:
-            fault += f"; stderr tail:\n{tail}"
-        self.fault_log.append(fault)
-        del self.fault_log[:-32]
-        return fault
-
-    def _fault_suffix(self) -> str:
-        return ("; recent faults: " + " | ".join(self.fault_log[-3:])) if self.fault_log else ""
 
     def _await_ready_hosts(self) -> list[_HostLease]:
         """Block until at least one host is ready (or the grace expires)."""
@@ -657,95 +623,40 @@ class NetworkBackend(ExecutionBackend):
                 self._cond.wait(min(0.1, remaining))
 
     # ------------------------------------------------------------------
-    # Fan-out
+    # Fan-out transport (the loop is WorkerFleet's)
     # ------------------------------------------------------------------
-    def _sample_shards(
-        self,
-        index_batches: Sequence[np.ndarray],
-        root_batches: "Sequence[np.ndarray | None] | None",
-    ) -> list[RRBlock]:
-        # Flatten the coordinator's nominal partition into one position
-        # list and re-partition the unanswered positions over the *live*
-        # lease set — possibly several times, as hosts crash, expire, or
-        # join mid-call.  Seed purity makes any assignment
-        # byte-equivalent, so retry is just reassignment.  Roots are
-        # carried per position (-1 = "draw from the set's own key") so
-        # mixed batches survive re-partitioning.
-        indices = np.concatenate([np.asarray(b, dtype=np.int64) for b in index_batches])
-        bounds = np.cumsum([0] + [len(b) for b in index_batches])
-        roots_at = np.full(indices.size, -1, dtype=np.int64)
-        if root_batches is not None:
-            for w, roots in enumerate(root_batches):
-                if roots is not None:
-                    roots_at[bounds[w] : bounds[w + 1]] = roots
-        pending = np.ones(indices.size, dtype=bool)
-        answered: list[tuple[np.ndarray, RRBlock]] = []
+    def _live_workers(self) -> list[_HostLease]:
+        return self._await_ready_hosts()
 
-        barren_rounds = 0
-        while pending.any():
-            hosts = self._await_ready_hosts()
-            chunks = [
-                chunk
-                for chunk in np.array_split(np.flatnonzero(pending), len(hosts))
-                if len(chunk)
-            ]
-            engaged: list[tuple[_HostLease, int, np.ndarray]] = []
-            app_errors: list[str] = []
-            crashed = False
-            for host, chunk in zip(hosts, chunks):
-                roots = roots_at[chunk]
-                if (roots < 0).all():
-                    roots = None
-                self._batch_seq += 1
-                seq = self._batch_seq
-                try:
-                    host.send(("sample", seq, indices[chunk], roots))
-                except ConnectionClosed as exc:
-                    self._record_fault(host, f"is gone: {exc}")
-                    self._retire_host(host, f"send failed: {exc}")
-                    crashed = True
-                    continue
-                host.batches_dispatched += 1
-                engaged.append((host, seq, chunk))
-            completed = 0
-            for host, seq, chunk in engaged:
-                reply = host.replies.get()
-                if reply[0] == "gone":
-                    self._record_fault(host, f"died mid-batch: {reply[1]}")
-                    crashed = True
-                    continue
-                if reply[0] == "error":
-                    app_errors.append(f"{host.describe()} failed: {reply[2]}")
-                    continue
-                if reply[1] != seq:
-                    # A lease never has two batches in flight, so a stale
-                    # sequence number means protocol corruption, not lag.
-                    self._record_fault(host, f"answered batch {reply[1]}, expected {seq}")
-                    self._retire_host(host, "out-of-sequence reply")
-                    crashed = True
-                    continue
-                answered.append((chunk, RRBlock(reply[2], reply[3])))
-                pending[chunk] = False
-                completed += len(chunk)
-            if app_errors:
-                # Deterministic worker-side failures recur on any host; all
-                # engaged replies were drained above, so raising is clean.
-                raise SamplingError("; ".join(app_errors))
-            if crashed:
-                self._reap_spawned()
-            barren_rounds = 0 if completed else barren_rounds + 1
-            if pending.any() and barren_rounds > _MAX_BARREN_ROUNDS:
-                raise SamplingError(
-                    "network fleet crash loop, retry budget exhausted"
-                    + self._fault_suffix()
-                )
-        # The replies hold every position once, in arrival order; one
-        # take per worker puts its positions back in batch order.
-        merged = RRBlock.concat(block for _, block in answered)
-        rank = np.empty(indices.size, dtype=np.int64)
-        if answered:
-            rank[np.concatenate([chunk for chunk, _ in answered])] = np.arange(indices.size)
-        return [merged.take(rank[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    def _dispatch(self, host: _HostLease, indices, roots) -> None:
+        host.batch_seq += 1
+        try:
+            host.send(("sample", host.batch_seq, indices, roots))
+        except ConnectionClosed as exc:
+            raise WorkerLost(f"is gone: {exc}") from exc
+        host.batches_dispatched += 1
+
+    def _collect(self, host: _HostLease) -> RRBlock:
+        reply = host.replies.get()
+        if reply[0] == "gone":
+            raise WorkerLost(f"died mid-batch: {reply[1]}")
+        if reply[0] == "error":
+            raise WorkerFailed(f"{host.describe()} failed: {reply[2]}")
+        if reply[1] != host.batch_seq:
+            # A lease never has two batches in flight, so a stale
+            # sequence number means protocol corruption, not lag.
+            raise WorkerLost(f"answered batch {reply[1]}, expected {host.batch_seq}")
+        return RRBlock(reply[2], reply[3])
+
+    def _lose(self, host: _HostLease, why: str) -> None:
+        """Record the crash context and retire the lease; the next
+        round's :meth:`_live_workers` replaces self-hosted workers."""
+        stderr = next((e["stderr"] for e in self._spawn_procs if e["label"] == host.label), None)
+        self._record_fault(
+            f"{host.describe()} {why}; batches dispatched to it: {host.batches_dispatched}",
+            stderr,
+        )
+        self._retire_host(host, why)
 
 
 # ----------------------------------------------------------------------

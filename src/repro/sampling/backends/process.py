@@ -9,8 +9,8 @@ scaled down to one machine:
   segment zero-copy, rebuilds a validated :class:`CSRGraph` view, and
   constructs its sampler from the stream's seed material — workers hold
   no per-worker stream state, so any worker can compute any set;
-* **steady state** — the only traffic per fan-out is one batch of
-  global set indices down each worker's pipe and one RR block's
+* **steady state** — the only traffic per fan-out is one contiguous
+  run of global set indices down each worker's pipe and one RR block's
   ``(flat, offsets)`` arrays back up.  The graph never crosses a pipe
   again;
 * **elasticity** — :meth:`ProcessBackend.resize` spawns extra workers
@@ -19,18 +19,21 @@ scaled down to one machine:
 * **teardown** — workers get a ``None`` sentinel, detach, and exit; the
   coordinator joins them, then closes *and unlinks* the segment.
 
-Each worker's stderr is redirected to a scratch file the coordinator
-keeps; when a worker dies its crash context — worker id, pid, exit code,
-how many batches it had been dispatched, and the tail of its stderr — is
+Each fan-out cuts the index batch into one contiguous run per worker
+and runs the dispatch-and-retry loop the network fleet shares
+(:class:`~repro.sampling.backends.base.WorkerFleet`).  Each worker's
+stderr is redirected to a scratch file the coordinator keeps; when a
+worker dies its crash context — worker id, pid, exit code, how many
+batches it had been dispatched, and the tail of its stderr — is
 recorded in :attr:`ProcessBackend.fault_log`.  A crash is **not** a
 user-facing failure: because every RR set is a pure function of its
 global stream index, the coordinator quarantines the dead worker,
-respawns a replacement against the live shared-memory segment, and
-replays the lost index batch byte-identically (:attr:`respawns` counts
-replacements).  Only a crash loop that exhausts the per-call retry
-budget — or a worker *reply* reporting an application error, which would
-recur deterministically — raises :class:`~repro.exceptions.SamplingError`,
-and the raised error carries the same crash context.
+respawns a replacement in its slot against the live shared-memory
+segment, and resends the lost run byte-identically (:attr:`respawns`
+counts replacements).  Only a crash loop that exhausts the retry budget
+— or a worker *reply* reporting an application error, which would recur
+deterministically — raises :class:`~repro.exceptions.SamplingError`, and
+the raised error carries the most recent crash context.
 
 The default start method is ``spawn``: it is portable, and it proves the
 architecture (a spawned child shares no memory with its parent, so the
@@ -46,28 +49,20 @@ import os
 import sys
 import tempfile
 from dataclasses import replace
-from typing import Sequence
 
-import numpy as np
-
-from repro.exceptions import SamplingError
 from repro.graph.shm import SharedCSRSpec, attach_csr_graph, close_segment, share_csr_graph
 from repro.sampling.backends.base import (
-    ExecutionBackend,
+    WorkerFailed,
+    WorkerFleet,
+    WorkerLost,
     WorkerSpec,
     build_worker_sampler,
+    remove_file,
     run_worker_batch,
 )
 from repro.sampling.block import RRBlock
 
 _JOIN_TIMEOUT = 5.0
-_STDERR_TAIL_BYTES = 2048
-# Worker replacements allowed within one sample_shards call before the
-# accumulated faults are raised: a crash loop (bad graph memory, OOM
-# killer) must not retry forever.
-_MAX_RESPAWNS_PER_CALL = 3
-# fault_log is diagnostics, not an audit trail; keep it bounded.
-_FAULT_LOG_LIMIT = 32
 
 
 def _worker_main(
@@ -123,7 +118,7 @@ def _worker_main(
         conn.close()
 
 
-class ProcessBackend(ExecutionBackend):
+class ProcessBackend(WorkerFleet):
     """Persistent ``multiprocessing`` worker pool fed over pipes."""
 
     name = "process"
@@ -181,20 +176,13 @@ class ProcessBackend(ExecutionBackend):
             self._conns[worker_id].close()
         except OSError:
             pass
-        self._remove_stderr_file(self._stderr_paths[worker_id])
+        remove_file(self._stderr_paths[worker_id])
         proc, conn, stderr_path = self._build_worker(worker_id)
         self._procs[worker_id] = proc
         self._conns[worker_id] = conn
         self._stderr_paths[worker_id] = stderr_path
         self._batches_dispatched[worker_id] = 0
         self.respawns += 1
-
-    def _record_fault(self, worker_id: int, why: str) -> str:
-        """Append one crash description to the bounded fault log."""
-        fault = self._fault(worker_id, why)
-        self.fault_log.append(fault)
-        del self.fault_log[:-_FAULT_LOG_LIMIT]
-        return fault
 
     def _start(self, spec: WorkerSpec) -> None:
         self._shm, self._graph_spec = share_csr_graph(
@@ -230,118 +218,50 @@ class ProcessBackend(ExecutionBackend):
                 proc.terminate()
                 proc.join(timeout=_JOIN_TIMEOUT)
             self._conns[worker_id].close()
-            self._remove_stderr_file(self._stderr_paths[worker_id])
+            remove_file(self._stderr_paths[worker_id])
         del self._procs[workers:]
         del self._conns[workers:]
         del self._stderr_paths[workers:]
         del self._batches_dispatched[workers:]
 
     # ------------------------------------------------------------------
-    # Fault context
+    # Fan-out transport (the loop is WorkerFleet's)
     # ------------------------------------------------------------------
-    def _stderr_tail(self, worker_id: int) -> str:
+    def _live_workers(self) -> range:
+        return range(len(self._procs))
+
+    def _dispatch(self, worker_id: int, indices, roots) -> None:
         try:
-            with open(self._stderr_paths[worker_id], "rb") as handle:
-                handle.seek(0, os.SEEK_END)
-                size = handle.tell()
-                handle.seek(max(0, size - _STDERR_TAIL_BYTES))
-                tail = handle.read().decode("utf-8", errors="replace").strip()
-        except OSError:
-            return ""
-        return tail
+            self._conns[worker_id].send(("sample", indices, roots))
+        except (BrokenPipeError, OSError) as exc:
+            raise WorkerLost(f"is gone: {exc}") from exc
+        self._batches_dispatched[worker_id] += 1
 
-    def _fault(self, worker_id: int, why: str) -> str:
-        """One worker-failure description with full crash context."""
+    def _collect(self, worker_id: int) -> RRBlock:
+        try:
+            reply = self._conns[worker_id].recv()
+        except (EOFError, OSError) as exc:
+            raise WorkerLost(f"died mid-batch: {exc}") from exc
+        if reply[0] != "ok":
+            raise WorkerFailed(f"worker {worker_id} failed: {reply[1]}")
+        return RRBlock(reply[1], reply[2])
+
+    def _lose(self, worker_id: int, why: str) -> None:
+        """Record the crash context, then respawn the slot: a dead pipe
+        left in the fleet would wedge every later call."""
         proc = self._procs[worker_id]
-        message = (
+        self._record_fault(
             f"worker {worker_id} (pid {proc.pid}, exitcode {proc.exitcode}) {why}; "
-            f"batches dispatched to it: {self._batches_dispatched[worker_id]}"
+            f"batches dispatched to it: {self._batches_dispatched[worker_id]}",
+            self._stderr_paths[worker_id],
         )
-        tail = self._stderr_tail(worker_id)
-        if tail:
-            message += f"; stderr tail:\n{tail}"
-        return message
-
-    # ------------------------------------------------------------------
-    # Fan-out
-    # ------------------------------------------------------------------
-    def _sample_shards(
-        self,
-        index_batches: Sequence[np.ndarray],
-        root_batches: "Sequence[np.ndarray | None] | None",
-    ) -> list[RRBlock]:
-        # Ship all batches first so workers overlap, then collect in order.
-        # Faults on either leg are accumulated, never raised mid-protocol:
-        # every successfully-sent batch must be drained before raising or
-        # retrying, or a retry would pair stale replies with new indices.
-        #
-        # A *crashed* worker (broken pipe, EOF) is quarantined, respawned
-        # against the live shm segment, and its batch re-dispatched — the
-        # retry is byte-identical because each set derives from its global
-        # index alone.  A worker *reply* reporting an error is an
-        # application fault that would recur on replay, so it raises.
-        results = [RRBlock.pack(()) for _ in index_batches]
-        pending: dict[int, tuple[np.ndarray, "np.ndarray | None"]] = {}
-        for worker_id, batch in enumerate(index_batches):
-            if len(batch) == 0:
-                continue
-            roots = None if root_batches is None else root_batches[worker_id]
-            pending[worker_id] = (
-                np.asarray(batch, dtype=np.int64),
-                None if roots is None else np.asarray(roots, dtype=np.int64),
-            )
-
-        call_faults: list[str] = []
-        respawned_this_call = 0
-        while pending:
-            engaged, crashed, app_errors = [], [], []
-            for worker_id, (batch, roots) in pending.items():
-                try:
-                    self._conns[worker_id].send(("sample", batch, roots))
-                except (BrokenPipeError, OSError) as exc:
-                    crashed.append((worker_id, f"is gone: {exc}"))
-                    continue
-                self._batches_dispatched[worker_id] += 1
-                engaged.append(worker_id)
-            for worker_id in engaged:
-                try:
-                    reply = self._conns[worker_id].recv()
-                except (EOFError, OSError) as exc:
-                    crashed.append((worker_id, f"died mid-batch: {exc}"))
-                    continue
-                if reply[0] != "ok":
-                    app_errors.append(f"worker {worker_id} failed: {reply[1]}")
-                    continue
-                results[worker_id] = RRBlock(reply[1], reply[2])
-                del pending[worker_id]
-            # Respawn crashed workers before raising anything: a dead pipe
-            # left in the fleet would wedge every later call on this
-            # backend (the historical failure mode this loop exists for).
-            for worker_id, why in crashed:
-                call_faults.append(self._record_fault(worker_id, why))
-                self._respawn_worker(worker_id)
-                respawned_this_call += 1
-            if app_errors:
-                raise SamplingError("; ".join(app_errors))
-            if crashed and respawned_this_call > _MAX_RESPAWNS_PER_CALL:
-                raise SamplingError(
-                    "worker crash loop, retry budget exhausted: "
-                    + "; ".join(call_faults)
-                )
-        return results
+        self._respawn_worker(worker_id)
 
     # ------------------------------------------------------------------
     # Teardown
     # ------------------------------------------------------------------
     def _close(self) -> None:
         self._teardown()
-
-    @staticmethod
-    def _remove_stderr_file(path: str) -> None:
-        try:
-            os.unlink(path)
-        except OSError:
-            pass
 
     def _teardown(self) -> None:
         for conn in self._conns:
@@ -357,7 +277,7 @@ class ProcessBackend(ExecutionBackend):
         for conn in self._conns:
             conn.close()
         for path in self._stderr_paths:
-            self._remove_stderr_file(path)
+            remove_file(path)
         self._procs = []
         self._conns = []
         self._stderr_paths = []

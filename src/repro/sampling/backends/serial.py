@@ -1,15 +1,13 @@
-"""Serial execution backend — workers run one after another, in-process.
+"""Serial execution backend — one in-process sampler, no transport.
 
 This is the default and the reference implementation.  Seed-pure streams
 make workers stateless, so the "fleet" is a single plain sampler that
-computes every shard's batch in worker order; resizing is free.  It
-carries zero startup or transport cost, so it is what a sampling
-context with no backend named runs at one worker.
+computes each index batch in one call, whatever the nominal worker
+count; resizing is free.  It carries zero startup or transport cost, so
+it is what a sampling context with no backend named runs at one worker.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 
@@ -23,31 +21,20 @@ from repro.sampling.block import RRBlock
 
 
 class SerialBackend(ExecutionBackend):
-    """Run every worker's batch sequentially on the calling thread."""
+    """Compute each index batch in one call on the calling thread."""
 
     name = "serial"
 
     def _start(self, spec: WorkerSpec) -> None:
-        # One sampler serves every shard: workers hold no stream state,
+        # One sampler serves every batch: workers hold no stream state,
         # so distinct sampler objects would be pure overhead here.
         self._sampler = build_worker_sampler(spec)
 
     def _resize(self, workers: int) -> None:
         pass  # fleet size is bookkeeping only; the sampler is shared
 
-    def _sample_shards(
-        self,
-        index_batches: Sequence[np.ndarray],
-        root_batches: "Sequence[np.ndarray | None] | None",
-    ) -> list[RRBlock]:
-        return [
-            run_worker_batch(
-                self._sampler,
-                batch,
-                None if root_batches is None else root_batches[w],
-            )
-            for w, batch in enumerate(index_batches)
-        ]
+    def _sample_shards(self, indices: np.ndarray, roots: "np.ndarray | None") -> list[RRBlock]:
+        return [run_worker_batch(self._sampler, indices, roots)]
 
     def _close(self) -> None:
         self._sampler = None

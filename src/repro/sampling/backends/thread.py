@@ -1,12 +1,12 @@
 """Thread-pool execution backend.
 
-One long-lived :class:`~concurrent.futures.ThreadPoolExecutor` runs each
-worker's batch as a task.  Each worker owns a private sampler object
-(its running coin mean must not be shared across concurrent tasks),
-but samplers carry no stream state — every draw derives from the set's
-global index — so results are
+One long-lived :class:`~concurrent.futures.ThreadPoolExecutor` runs
+each worker's contiguous run of the index batch as a task.  Each worker
+owns a private sampler object (its running coin mean must not be shared
+across concurrent tasks), but samplers carry no stream state — every
+draw derives from the set's global index — so results are
 byte-identical to :class:`~repro.sampling.backends.serial.SerialBackend`
-at any fleet size: threads change *when* a shard is computed, never
+at any fleet size: threads change *when* a set is computed, never
 *what* it computes.
 
 CPython's GIL limits the speedup to the fraction of sampling spent in
@@ -19,7 +19,6 @@ for equivalence tests.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from typing import Sequence
 
 import numpy as np
 
@@ -28,12 +27,14 @@ from repro.sampling.backends.base import (
     WorkerSpec,
     build_worker_sampler,
     run_worker_batch,
+    split_runs,
 )
 from repro.sampling.block import RRBlock
 
 
 class ThreadBackend(ExecutionBackend):
-    """Run worker batches concurrently on a persistent thread pool."""
+    """Run each worker's run of the batch concurrently on a persistent
+    thread pool."""
 
     name = "thread"
 
@@ -65,19 +66,17 @@ class ThreadBackend(ExecutionBackend):
         if old is not None:
             old.shutdown(wait=True)
 
-    def _sample_shards(
-        self,
-        index_batches: Sequence[np.ndarray],
-        root_batches: "Sequence[np.ndarray | None] | None",
-    ) -> list[RRBlock]:
+    def _sample_shards(self, indices: np.ndarray, roots: "np.ndarray | None") -> list[RRBlock]:
         futures = [
             self._pool.submit(
                 run_worker_batch,
                 sampler,
-                batch,
-                None if root_batches is None else root_batches[w],
+                indices[lo:hi],
+                None if roots is None else roots[lo:hi],
             )
-            for w, (sampler, batch) in enumerate(zip(self._samplers, index_batches))
+            for sampler, (lo, hi) in zip(
+                self._samplers, split_runs(indices.size, len(self._samplers))
+            )
         ]
         return [future.result() for future in futures]
 

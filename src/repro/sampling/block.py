@@ -4,9 +4,10 @@ An :class:`RRBlock` holds a sequence of RR sets as one int32 ``flat``
 array of node ids plus int64 ``offsets`` (``offsets[0] == 0``,
 ``offsets[-1] == flat.size``): set ``i`` is
 ``flat[offsets[i]:offsets[i + 1]]``.  The lockstep kernels build one,
-samplers and backends return them (process workers and network hosts
-send ``flat, offsets``), the sharded coordinator merges its shards with
-one :meth:`RRBlock.take`, and the pool
+samplers return them, backends return one per contiguous run of an
+index batch (process workers and network hosts send ``flat,
+offsets``), the sharded coordinator concatenates those runs with
+:meth:`RRBlock.concat`, and the pool
 (:class:`~repro.sampling.rr_collection.RRCollection`) copies them
 straight into its own flat buffers.  Per-set arrays exist only as
 transient views, by index or by iteration.

@@ -9,20 +9,23 @@ be i.i.d. RR sets.
 :class:`ShardedSampler` *is* that coordinator.  Stream set ``g`` is a
 pure function of ``(seed, g)`` — every draw it makes, its root
 included, is a counter-based function of its key ``F(seed, g)``
-(:mod:`repro.sampling.seedstream`) — so the coordinator's whole job is
-to partition global indices round-robin across W workers and
-re-interleave the results.  It hands the per-worker index batches to a
-pluggable :class:`~repro.sampling.backends.base.ExecutionBackend`:
+(:mod:`repro.sampling.seedstream`) — so which worker computes which set
+carries no weight.  The coordinator hands each index batch whole to a
+pluggable :class:`~repro.sampling.backends.base.ExecutionBackend`, which
+alone decides the split, and concatenates the blocks it returns:
 
-* ``serial`` — workers run sequentially in-process (one kernel
-  sampler, no transport);
-* ``thread`` — workers run on a persistent thread pool;
-* ``process`` — workers are persistent OS processes that attach the CSR
-  graph through shared memory and exchange only index/RR batches;
-* ``network`` — workers are remote hosts over TCP that fetch the graph
-  as a content-addressed blob and serve batches under heartbeat leases
-  (hosts may join, crash, or expire mid-stream; the coordinator
-  re-partitions over the live fleet and retries byte-identically).
+* ``serial`` — one in-process kernel sampler computes the batch, no
+  transport;
+* ``thread`` — contiguous runs of the batch run on a persistent thread
+  pool;
+* ``process`` — contiguous runs go to persistent OS processes that
+  attach the CSR graph through shared memory and exchange only index/RR
+  batches;
+* ``network`` — contiguous runs go to remote hosts over TCP that fetch
+  the graph as a content-addressed blob and serve batches under
+  heartbeat leases (hosts may join, crash, or expire mid-stream; the
+  backend splits each batch over the live fleet and resends lost runs
+  byte-identically).
 
 Because workers hold no stream state, the merged stream is a pure
 function of the **seed alone** — independent of the backend, of how
@@ -98,7 +101,7 @@ class ShardedSampler(RRSampler):
         kernel=None,
         graph_version: int = 0,
     ) -> None:
-        backend, self._workers = default_fleet(backend, workers)
+        backend, workers = default_fleet(backend, workers)
         self.model = DiffusionModel.parse(model)
         super().__init__(
             graph, seed, roots=roots, max_hops=max_hops, kernel=kernel,
@@ -111,21 +114,20 @@ class ShardedSampler(RRSampler):
                 model=self.model,
                 entropy=self.seed_stream.entropy,
                 spawn_key=self.seed_stream.spawn_key,
-                workers=self._workers,
+                workers=workers,
                 roots=self.roots,
                 max_hops=max_hops,
                 graph_version=self.graph_version,
             )
         )
-        self._loads = [0] * self._workers
 
     # ------------------------------------------------------------------
     # RRSampler interface
     # ------------------------------------------------------------------
     @property
     def workers(self) -> int:
-        """Current worker count (a throughput knob; see :meth:`resize`)."""
-        return self._workers
+        """The backend's worker count (a throughput knob; see :meth:`resize`)."""
+        return self.backend.workers
 
     def _sample_keys(self, keys, roots):  # pragma: no cover
         raise SamplingError(
@@ -133,61 +135,20 @@ class ShardedSampler(RRSampler):
             "sample_batch()/sample_block()"
         )
 
-    def _sync_fleet(self) -> None:
-        """Adopt the backend's live fleet size before partitioning.
-
-        Local backends always report the nominal count, so this is a
-        no-op for them.  A network fleet's membership can change between
-        batches (hosts join and leave under their leases); seed-pure
-        streams make that churn byte-invisible, so the coordinator simply
-        re-partitions the next batch over whatever is alive.
-        """
-        live = self.backend.sync_fleet()
-        if live != self._workers:
-            self._workers = live
-            self._loads = [0] * live
-
-    def _fan_out(self, indices: np.ndarray, roots) -> RRBlock:
-        """Sample ``indices`` across the fleet, merged into batch order.
-
-        Index ``g`` routes to worker ``g mod W``.  The shards come back
-        as one block per worker; concatenated, they hold the batch in
-        shard-major order, and one :meth:`~RRBlock.take` restores it.
-        """
-        self._sync_fleet()
-        workers = self._workers
-        shards = indices % workers
-        index_batches = [indices[shards == w] for w in range(workers)]
-        root_batches = None
-        if roots is not None:
-            roots = np.asarray(roots, dtype=np.int64)
-            root_batches = [roots[shards == w] for w in range(workers)]
-        blocks = self.backend.sample_shards(index_batches, root_batches)
-        for w, block in enumerate(blocks):
-            self._loads[w] += len(block)
-        merged = RRBlock.concat(blocks)
-        if workers == 1:
-            return merged
-        # Position i of the batch sits at rank[i] of the shard-major merge.
-        order = np.argsort(shards, kind="stable")
-        rank = np.empty_like(order)
-        rank[order] = np.arange(order.size)
-        return merged.take(rank)
-
     def sample_block(self, indices, roots=None) -> RRBlock:
         """Compute an arbitrary index batch across the fleet.
 
-        Workers serve their shards through the lockstep block path, so
+        Workers serve their runs through the lockstep block path, so
         batch-composition invariance holds end to end: entry ``i`` equals
         ``sample_at(indices[i])`` byte for byte at any worker count.
         """
         indices = np.asarray(indices, dtype=np.int64)
         if indices.size == 0:
             return RRBlock.pack(())
-        return self._fan_out(indices, roots)
+        return RRBlock.concat(self.backend.sample_shards(indices, roots))
 
     def sample_batch(self, count: int) -> RRBlock:
-        """Fan global indices out round-robin, merge back in index order.
+        """Fan the next ``count`` global indices out, merged in index order.
 
         The batch covers global indices ``cursor .. cursor+count-1``.
         Every set is self-contained (its draws and root derive from
@@ -198,7 +159,9 @@ class ShardedSampler(RRSampler):
         if count <= 0:
             return RRBlock.pack(())
         base = self._cursor
-        merged = self._fan_out(np.arange(base, base + count, dtype=np.int64), None)
+        merged = RRBlock.concat(
+            self.backend.sample_shards(np.arange(base, base + count, dtype=np.int64))
+        )
         self._cursor = base + count
         self.sets_generated += count
         self.entries_generated += int(merged.flat.size)
@@ -211,26 +174,13 @@ class ShardedSampler(RRSampler):
         """Change the worker count mid-stream (byte-invisible).
 
         Seed-pure derivation makes the fleet size pure throughput: the
-        next batch simply shards over the new count.  Per-worker load
-        counters reset (they describe the current fleet).
+        backend splits the next batch over the new count.
         """
-        workers = int(workers)
-        if workers < 1:
-            raise SamplingError(f"need at least one worker, got {workers}")
-        if workers == self._workers:
-            return
         self.backend.resize(workers)
-        self._workers = workers
-        self._loads = [0] * workers
 
     # ------------------------------------------------------------------
     # Diagnostics / lifecycle
     # ------------------------------------------------------------------
-    def per_worker_load(self) -> list[int]:
-        """RR sets generated by each current worker since the last resize
-        (load-balance diagnostics)."""
-        return list(self._loads)
-
     def close(self) -> None:
         """Shut the backend down (terminates process-backend workers)."""
         self.backend.close()

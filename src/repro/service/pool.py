@@ -116,9 +116,6 @@ class QueryView:
         self._snap = snap
         return snap
 
-    def note_query(self, demand: int) -> None:
-        self._entry.note_query(int(demand))
-
     def resize(self, workers: int) -> None:
         """Per-query worker override: resize the shared pool's sampler.
 
@@ -166,10 +163,6 @@ class _PoolEntry:
     def snapshot(self):
         with self.lock:
             return self.ctx.pool.snapshot()
-
-    def note_query(self, demand: int) -> None:
-        with self.lock:
-            self.ctx.note_query(demand)
 
     def resize(self, workers: int) -> bool:
         """Resize the backing context; False if it was already retired.

@@ -47,9 +47,12 @@ from repro.service.protocol import (
     hello_payload,
 )
 from repro.service.service import OPERATIONS, InfluenceService
+from repro.utils.logging import get_logger
 
 #: transport-level ops the server answers without touching the service.
 TRANSPORT_OPS = ("hello", "shutdown")
+
+_log = get_logger(__name__)
 
 
 class InfluenceServer:
@@ -136,8 +139,11 @@ class InfluenceServer:
             )
             result = await asyncio.wrap_future(future)
             return OkResponse(request.id, self.service.wire_result(result)), False
-        except (ReproError, ValueError, KeyError, TypeError) as exc:
-            return ErrorResponse.from_exception(request.id, exc), False
+        except Exception as exc:  # every request gets an answer
+            response = ErrorResponse.from_exception(request.id, exc)
+            if response.code == "internal":
+                _log.error("%s request failed", request.op, exc_info=exc)
+            return response, False
 
     # ------------------------------------------------------------------
     # Connection handling (loop thread)

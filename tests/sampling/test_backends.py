@@ -131,22 +131,6 @@ class TestBackendEquivalence:
 
 
 class TestShardedSamplerBehaviour:
-    def test_batch_size_counters_and_load(self, small_wc_graph):
-        sampler = ShardedSampler(small_wc_graph, "LT", 4, seed=1, backend="thread")
-        batch = sampler.sample_batch(101)
-        assert len(batch) == 101
-        assert sampler.sets_generated == 101
-        loads = sampler.per_worker_load()
-        assert sum(loads) == 101 and max(loads) - min(loads) <= 1
-        sampler.close()
-
-    def test_single_sample_round_robin(self, small_wc_graph):
-        sampler = ShardedSampler(small_wc_graph, "IC", 2, seed=2, backend="serial")
-        for _ in range(4):
-            assert sampler.sample().size >= 1
-        assert sampler.per_worker_load() == [2, 2]
-        sampler.close()
-
     def test_context_manager(self, small_wc_graph):
         with ShardedSampler(small_wc_graph, "LT", 2, seed=3, backend="thread") as sampler:
             assert len(sampler.sample_batch(10)) == 10
@@ -216,7 +200,7 @@ def process_pool_results():
     try:
         proc_stream = [rr.tolist() for rr in proc.sample_batch(60)]
         single = proc.sample()
-        loads = proc.per_worker_load()
+        generated = proc.sets_generated
     finally:
         proc.close()
         proc.close()  # idempotent
@@ -224,7 +208,7 @@ def process_pool_results():
         "serial": serial_stream,
         "process": proc_stream,
         "single_size": int(single.size),
-        "loads": loads,
+        "generated": generated,
     }
 
 
@@ -232,9 +216,9 @@ class TestProcessBackend:
     def test_matches_serial_stream(self, process_pool_results):
         assert process_pool_results["process"] == process_pool_results["serial"]
 
-    def test_single_sample_and_load(self, process_pool_results):
+    def test_single_sample_and_counter(self, process_pool_results):
         assert process_pool_results["single_size"] >= 1
-        assert sum(process_pool_results["loads"]) == 61
+        assert process_pool_results["generated"] == 61
 
     def test_unbiased_estimates(self, tiny_graph):
         """Lemma 1 over a process-backend merged stream (IC, exact oracle)."""
@@ -254,14 +238,11 @@ class TestProcessBackend:
             reference = ShardedSampler(small_wc_graph, "LT", 2, seed=23, backend="serial")
             expected = [rr.tolist() for rr in reference.sample_batch(10)]
             reference.close()
-            with pytest.raises(SamplingError, match="worker"):
-                # Out-of-range *root* pinned on worker 0 while worker 1 has
-                # a good batch: the coordinator must relay the fault AND
+            with pytest.raises(SamplingError, match="worker 0 failed"):
+                # Out-of-range *root* pinned in worker 0's run while worker
+                # 1's run is good: the coordinator must relay the fault AND
                 # drain worker 1's reply so the pipe protocol stays in sync.
-                backend.sample_shards(
-                    [np.asarray([0], dtype=np.int64), np.asarray([1, 2], dtype=np.int64)],
-                    [np.asarray([10**6], dtype=np.int64), None],
-                )
+                backend.sample_shards(np.arange(3), [10**6, -1, -1])
             # The pool is still usable and not serving stale replies: the
             # injected batch consumed no stream position (sets derive from
             # their global index alone), so the next batch must equal a
@@ -318,6 +299,26 @@ class TestProcessBackend:
                 stream += [rr.tolist() for rr in sampler.sample_batch(10)]
             assert stream == expected
             assert backend.respawns == 3
+        finally:
+            sampler.close()
+
+    def test_crash_loop_exhausts_the_retry_budget(self, small_wc_graph):
+        """Workers that die on every batch are respawned a bounded number
+        of times, then the call raises with the recent crash context."""
+
+        class DyingFleet(ProcessBackend):
+            def _dispatch(self, worker_id, indices, roots):
+                self._conns[worker_id].send(("abort", "poisoned batch"))
+                super()._dispatch(worker_id, indices, roots)
+
+        backend = DyingFleet()
+        sampler = ShardedSampler(small_wc_graph, "LT", 2, seed=26, backend=backend)
+        try:
+            with pytest.raises(SamplingError, match="retry budget exhausted") as caught:
+                sampler.sample_batch(10)
+            assert "poisoned batch" in str(caught.value)
+            # Four barren rounds of two lost runs each, every slot healed.
+            assert backend.respawns == 8
         finally:
             sampler.close()
 

@@ -95,15 +95,13 @@ class TestWorkerAndBackendInvariance:
         assert len({str(stream) for stream in streams.values()}) == len(CONFIGS)
 
     def test_resize_rebalances_load(self, module_graph):
-        sampler = ShardedSampler(module_graph, "LT", 2, seed=SEED, backend="serial")
+        sampler = ShardedSampler(module_graph, "LT", 2, seed=SEED, backend="thread")
         try:
             sampler.sample_batch(10)
             sampler.resize(5)
             assert sampler.workers == 5
-            sampler.sample_batch(20)
-            loads = sampler.per_worker_load()
-            assert len(loads) == 5 and sum(loads) == 20  # reset at resize
-            assert max(loads) - min(loads) <= 1
+            runs = sampler.backend.sample_shards(np.arange(10, 30))
+            assert [len(run) for run in runs] == [4] * 5
         finally:
             sampler.close()
 

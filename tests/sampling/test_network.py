@@ -158,7 +158,7 @@ class TestFleetChurn:
             # re-partitions over the larger fleet.
             backend.add_local_worker()
             backend.wait_for_hosts(3, timeout=60.0)
-            assert backend.sync_fleet() == 3
+            assert len(backend.live_hosts()) == 3
             stream += [rr.tolist() for rr in sampler.sample_batch(20)]
 
             assert stream == expected
@@ -188,10 +188,7 @@ class TestFleetChurn:
             # failure: retrying it elsewhere would fail identically, so it
             # must raise — but without crashing or wedging the fleet.
             with pytest.raises(SamplingError, match="failed"):
-                backend.sample_shards(
-                    [np.asarray([0], dtype=np.int64), np.asarray([1], dtype=np.int64)],
-                    [np.asarray([10**6], dtype=np.int64), None],
-                )
+                backend.sample_shards(np.arange(2), [10**6, -1])
             after = [rr.tolist() for rr in sampler.sample_batch(12)]
             assert after == expected  # the failed call consumed no stream position
         finally:
@@ -241,6 +238,43 @@ class TestExternalHosts:
     def test_worker_cannot_reach_coordinator(self):
         with pytest.raises(SamplingError, match="cannot reach"):
             run_worker("127.0.0.1:1", retry_for=0.0)
+
+    def test_close_is_prompt_and_frees_a_fixed_port(self):
+        """Closing the listener used to leave the accept thread blocked,
+        so close() ran out its 5 s join and the port stayed bound: the
+        next fleet on a fixed address (a mutate's rebuild) failed."""
+        graph = _fleet_graph()
+        probe = socket.socket()
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+        probe.close()
+        address = f"127.0.0.1:{port}"
+        first = ShardedSampler(
+            graph, "LT", 1, seed=53, backend=NetworkBackend(listen=address, spawn=0, min_hosts=0)
+        )
+        began = time.monotonic()
+        first.close()
+        assert time.monotonic() - began < 1.0
+        second = ShardedSampler(
+            graph, "LT", 1, seed=53, backend=NetworkBackend(listen=address, spawn=0, min_hosts=0)
+        )
+        try:
+            assert second.backend.address == ("127.0.0.1", port)
+        finally:
+            second.close()
+
+    def test_bind_failure_names_the_address(self):
+        holder = socket.socket()
+        holder.bind(("127.0.0.1", 0))
+        holder.listen(1)
+        port = holder.getsockname()[1]
+        backend = NetworkBackend(listen=f"127.0.0.1:{port}", spawn=0, min_hosts=0)
+        try:
+            with pytest.raises(SamplingError, match=f"cannot listen on 127.0.0.1:{port}"):
+                ShardedSampler(_fleet_graph(), "LT", 1, seed=54, backend=backend)
+            assert not backend.started
+        finally:
+            holder.close()
 
     def test_wire_spec_carries_no_graph(self):
         graph = _fleet_graph()

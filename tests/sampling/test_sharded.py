@@ -22,13 +22,6 @@ class TestBasics:
         assert len(batch) == 101
         assert sampler.sets_generated == 101
 
-    def test_load_balanced(self, small_wc_graph):
-        sampler = ShardedSampler(small_wc_graph, "LT", workers=4, seed=2)
-        sampler.sample_batch(100)
-        loads = sampler.per_worker_load()
-        assert sum(loads) == 100
-        assert max(loads) - min(loads) <= 1
-
     def test_deterministic(self, small_wc_graph):
         a = ShardedSampler(small_wc_graph, "LT", workers=3, seed=3).sample_batch(30)
         b = ShardedSampler(small_wc_graph, "LT", workers=3, seed=3).sample_batch(30)

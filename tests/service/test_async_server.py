@@ -16,6 +16,7 @@ from repro.core.dssa import dssa
 from repro.service import (
     InfluenceServer,
     InfluenceService,
+    InternalServiceError,
     OverBudgetError,
     ServiceClient,
     ServiceError,
@@ -219,6 +220,22 @@ class TestTypedErrors:
                 client.call("maximize", k=-1)
             assert excinfo.value.code == "bad_request"
             assert client.ping()  # connection survived the error
+
+    def test_unexpected_handler_exception_answers_internal(self, served, monkeypatch):
+        """A handler raising outside the library's error types used to
+        kill the request task, so its client waited forever."""
+
+        def broken(session, params):
+            raise RuntimeError("fleet on fire")
+
+        monkeypatch.setattr(served.service, "_op_ping", broken)
+        host, port = served.address
+        with ServiceClient(host, port, timeout=10) as client:
+            with pytest.raises(InternalServiceError, match="fleet on fire") as excinfo:
+                client.call("ping")
+            assert excinfo.value.code == "internal"
+            monkeypatch.undo()
+            assert client.ping()  # the same connection keeps serving
 
 
 class TestDisconnectCleanup:
