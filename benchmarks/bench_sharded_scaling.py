@@ -181,7 +181,7 @@ if pytest is not None:
             try:
                 # The backend's runs: one per worker it engaged.
                 runs = (
-                    sampler.backend.sample_shards(np.arange(_POOL))
+                    sampler.backend.sample_shards(sampler.registration, np.arange(_POOL))
                     if isinstance(sampler, ShardedSampler)
                     else [sampler.sample_batch(_POOL)]
                 )

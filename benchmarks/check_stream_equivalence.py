@@ -4,7 +4,8 @@ Hashes the RR stream under every accepted kernel name and fails unless
 they all agree, on IC and on LT (the cross-name cell).  Then hashes the
 merged stream for workers ∈ {1, 2, 4} across execution backends plus a
 mid-stream resize (W=1 → W=4), lockstep blocks of widths {1, 7, 64}
-against the per-set reference loops, and a mutate-then-repair pool
+against the per-set reference loops, and a mutate-then-repair pool on
+every backend (the repair resamples through the pool's own fleet)
 against a cold resample — and fails if any cell's hash differs from the
 plain (coordinator-free) sampler's.  Names never reach a worker or a
 draw, so the cross-name cell is their one check; the other cells run
@@ -112,8 +113,8 @@ def run(args: argparse.Namespace) -> "tuple[list[str], bool]":
         check(f"width {width:>3}", stream_hash(blocked), reference)
 
     # Dynamic-graph cell: mutate the graph mid-stream and repair the warm
-    # pool incrementally — the repaired pool must hash identically to a
-    # cold sampler run directly on the mutated graph.
+    # pool incrementally, on every backend — the repaired pool must hash
+    # identically to a cold sampler run directly on the mutated graph.
     from repro.dynamic import GraphDelta, MutableGraphView
     from repro.dynamic.repair import repair_context
     from repro.engine.context import SamplingContext
@@ -132,14 +133,18 @@ def run(args: argparse.Namespace) -> "tuple[list[str], bool]":
     if cold == reference:
         ok = False
         lines.append("    MISMATCH: the mutation left the stream unchanged (vacuous cell)")
-    ctx = SamplingContext(graph, args.model, seed=args.seed)
-    try:
-        ctx.require(args.sets)
-        stats = repair_context(ctx, mutated, 1, delta)
-        got = stream_hash(ctx.pool[i] for i in range(args.sets))
-    finally:
-        ctx.close()
-    check(f"repaired {stats['repaired']}/{stats['sets_total']} sets", got, cold)
+    for backend in args.backends:
+        ctx = SamplingContext(graph, args.model, seed=args.seed, backend=backend, workers=2)
+        try:
+            ctx.require(args.sets)
+            stats = repair_context(ctx, mutated, 1, delta)
+            got = stream_hash(ctx.pool[i] for i in range(args.sets))
+        finally:
+            ctx.close()
+        check(
+            f"{backend:>7} W=2 repaired {stats['repaired']}/{stats['sets_total']} sets",
+            got, cold,
+        )
     return lines, ok
 
 

@@ -44,7 +44,7 @@ from repro.sampling.backends import ExecutionBackend
 from repro.sampling.roots import UniformRoots, WeightedRoots
 from repro.utils.mathstats import binomial_coefficient_ln
 from repro.utils.timer import Timer
-from repro.utils.validation import check_delta, check_epsilon, check_k
+from repro.utils.validation import check_delta, check_epsilon, check_k, check_positive_int
 
 
 def imm_on_context(
@@ -61,6 +61,8 @@ def imm_on_context(
     check_k(k, n)
     check_epsilon(epsilon)
     delta = check_delta(delta if delta is not None else 1.0 / max(n, 2))
+    if max_samples is not None:
+        check_positive_int(max_samples, name="max_samples")
 
     scale = ctx.scale
     ln_binom = binomial_coefficient_ln(n, k)

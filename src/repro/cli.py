@@ -20,9 +20,9 @@ Subcommands
     pool byte budget and optional cross-restart pool persistence.
 ``worker``
     Join a network sampling fleet as one worker host: connect to a
-    ``--backend network`` coordinator, fetch the content-addressed graph
-    blob (cached by hash across restarts), and serve RR batches under a
-    heartbeat lease until the coordinator closes the connection.
+    ``--backend network`` coordinator and serve RR batches for every
+    stream of its session (graphs arrive as content-addressed blobs,
+    cached by hash) under a heartbeat lease until the session closes.
 ``tvm``
     Run the TVM experiment (Fig. 8 style) on a topic group.
 ``lint``
@@ -326,7 +326,7 @@ def _query_execute(call, line: str) -> bool:
         outcome = call("resize", **opts)
         print(
             f"session {outcome['session']!r} now at workers={outcome['workers']} "
-            f"({outcome['pools_resized']} warm pool(s) resized; stream unchanged)"
+            f"({outcome['pools_resized']} warm pool(s) on its fleet; stream unchanged)"
         )
     elif command == "quota":
         outcome = call("quota", **opts)
@@ -746,9 +746,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="join a network sampling fleet as one worker host",
         description=(
             "Connect to a '--backend network' coordinator, register under a "
-            "heartbeat lease, fetch the content-addressed graph blob (cached "
-            "by hash in --cache-dir across restarts), and serve RR-set "
-            "batches until the coordinator closes the connection.  Workers "
+            "heartbeat lease, and serve RR-set batches for every pool of its "
+            "session, across every mutate, until the session closes.  Each "
+            "graph snapshot arrives once as a content-addressed blob, cached "
+            "by hash in --cache-dir across restarts.  Workers "
             "are stateless: kill one at any time, start one late — the "
             "coordinator splits each batch over the live fleet and the merged "
             "stream is byte-identical either way."
@@ -760,7 +761,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_worker.add_argument(
         "--cache-dir", default=None, metavar="DIR",
-        help="content-addressed graph blob cache (skips re-fetch on rejoin)",
+        help="content-addressed graph blob cache (skips re-transfer on rejoin)",
     )
     p_worker.add_argument(
         "--label", default=None,

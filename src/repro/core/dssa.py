@@ -43,7 +43,7 @@ from repro.sampling.backends import ExecutionBackend
 from repro.sampling.roots import UniformRoots, WeightedRoots
 from repro.utils.mathstats import upsilon
 from repro.utils.timer import Timer
-from repro.utils.validation import check_delta, check_epsilon, check_k
+from repro.utils.validation import check_delta, check_epsilon, check_k, check_positive_int
 
 _E_FACTOR = 1.0 - 1.0 / math.e
 
@@ -68,6 +68,8 @@ def dssa_on_context(
     check_k(k, n)
     check_epsilon(epsilon)
     delta = check_delta(delta if delta is not None else 1.0 / max(n, 2))
+    if max_samples is not None:
+        check_positive_int(max_samples, name="max_samples")
     if epsilon >= _E_FACTOR:
         # ε₃'s formula contains √(1-1/e-ε); beyond this the guarantee is vacuous.
         raise ValueError(f"epsilon must be below 1-1/e ≈ {_E_FACTOR:.4f} for D-SSA")

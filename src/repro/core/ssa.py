@@ -50,7 +50,7 @@ from repro.sampling.backends import ExecutionBackend
 from repro.sampling.roots import UniformRoots, WeightedRoots
 from repro.utils.mathstats import upsilon
 from repro.utils.timer import Timer
-from repro.utils.validation import check_delta, check_epsilon, check_k
+from repro.utils.validation import check_delta, check_epsilon, check_k, check_positive_int
 
 
 def ssa_on_context(
@@ -74,6 +74,8 @@ def ssa_on_context(
     check_k(k, n)
     check_epsilon(epsilon)
     delta = check_delta(delta if delta is not None else 1.0 / max(n, 2))
+    if max_samples is not None:
+        check_positive_int(max_samples, name="max_samples")
     split = split if split is not None else default_epsilon_split(epsilon)
     split.validate(epsilon, tolerance=1e-6)
     e1, e2, e3 = split.epsilon_1, split.epsilon_2, split.epsilon_3

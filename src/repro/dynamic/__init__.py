@@ -13,12 +13,12 @@ graph a piece of state belongs to.
 The maintenance layer keeps warm RR pools alive across mutations instead
 of throwing them away: an :class:`RRSetIndex` (node → containing-sets
 inverted index) computes the exact invalidation set of a delta, and
-:func:`repair_context` resamples *only* those sets via seed-pure
-``sample_at`` on the mutated graph — byte-identical to a cold resample,
-because set ``g`` is a pure function of ``(seed, g, graph)`` and the
-untouched sets provably could not have observed the mutation (see
-:class:`RRSetIndex` for the invalidation rule and its soundness
-argument).
+:func:`repair_context` registers the pool's stream on the new snapshot,
+on the fleet it already samples on, and resamples *only* those sets
+there — byte-identical to a cold resample, because set ``g`` is a pure
+function of ``(seed, g, graph)`` and the untouched sets provably could
+not have observed the mutation (see :class:`RRSetIndex` for the
+invalidation rule and its soundness argument).
 """
 
 from repro.dynamic.delta import GraphDelta, as_delta

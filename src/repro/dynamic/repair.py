@@ -3,11 +3,12 @@
 Seed purity is what makes this exact rather than approximate: stream set
 ``g`` is a pure function of ``(seed, g, graph)``, so resampling exactly
 the invalidated ids via ``sample_block`` on the mutated graph rebuilds a
-pool byte-identical to one sampled cold on that graph — for any
-execution backend, because the repair runs the same derivation every
-backend runs.  Coins are keyed on the edge ``(u, v)``, not on its CSR
-position: an insertion shifts the position of every later in-edge, and
-a position-keyed coin would change sets the delta never touched.
+pool byte-identical to one sampled cold on that graph — on any
+execution backend, because the repair runs through the context's own
+sampler, on the fleet the pool already samples on.  Coins are keyed on
+the edge ``(u, v)``, not on its CSR position: an insertion shifts the
+position of every later in-edge, and a position-keyed coin would change
+sets the delta never touched.
 """
 
 from __future__ import annotations
@@ -16,20 +17,18 @@ import numpy as np
 
 from repro.dynamic.delta import GraphDelta
 from repro.dynamic.index import RRSetIndex
-from repro.sampling.base import make_sampler
 
 
 def repair_context(ctx, graph, graph_version: int, delta: GraphDelta) -> dict:
     """Rebind ``ctx`` onto the mutated ``graph`` and repair its pool.
 
     Computes the exact invalidation set from the pool's inverted index,
-    moves the context's sampler onto the new snapshot
+    registers the context's stream on the new snapshot
     (:meth:`~repro.engine.context.SamplingContext.rebind_graph`), then
-    resamples only the invalidated set ids with a local plain sampler on
-    the same seed stream — a deliberate choice over routing repairs
-    through the context's (possibly sharded) sampler: seed purity makes
-    the bytes identical either way, and a local sampler avoids one
-    fan-out round-trip per repaired set.
+    resamples only the invalidated set ids through ``ctx.sampler`` in
+    one block: the fleet splits it over its workers, and
+    batch-composition invariance keeps each set byte-identical to its
+    ``sample_at(g)`` bytes.
 
     Returns ``{"sets_total", "invalidated", "repaired",
     "repair_fraction"}``.  The caller must hold whatever lock serializes
@@ -42,24 +41,8 @@ def repair_context(ctx, graph, graph_version: int, delta: GraphDelta) -> dict:
         invalid = RRSetIndex.from_collection(pool).invalidated_by(delta)
     ctx.rebind_graph(graph, graph_version)
     if invalid.size:
-        repairer = make_sampler(
-            graph,
-            ctx.model,
-            ctx.sampler.seed_stream,
-            roots=ctx.roots,
-            max_hops=ctx.horizon,
-            graph_version=int(graph_version),
-        )
-        try:
-            # One block call instead of a per-set loop: the lockstep path
-            # repairs the whole invalidation set at once, and
-            # batch-composition invariance keeps each set byte-identical
-            # to its sample_at(g) bytes.
-            repaired = repairer.sample_block(np.asarray(invalid, dtype=np.int64))
-            updates = {int(g): rr for g, rr in zip(invalid, repaired)}
-        finally:
-            repairer.close()
-        pool.replace_many(updates)
+        repaired = ctx.sampler.sample_block(np.asarray(invalid, dtype=np.int64))
+        pool.replace_many({int(g): rr for g, rr in zip(invalid, repaired)})
     return {
         "sets_total": int(total),
         "invalidated": int(invalid.size),

@@ -2,15 +2,16 @@
 
 A :class:`SamplingContext` owns exactly what the one-shot algorithms
 used to rebuild per call: a :class:`~repro.sampling.sharded.ShardedSampler`
-(and with it the execution backend — acquired once here, released once
-in :meth:`close`) plus a persistent
+(its stream registered on an engine session's fleet, or on a private
+one) plus a persistent
 :class:`~repro.sampling.rr_collection.RRCollection` pool.  Algorithm
 bodies ask for *prefixes* of the RR stream via :meth:`require`.  Set
 ``g`` is a pure function of ``(seed, g)`` (see
 :mod:`repro.sampling.seedstream`), so the pool's length *is* the stream
 position: a top-up samples sets ``[len(pool), total)`` by index, and
 truncating, preloading a spill, resizing the fleet or rebinding the
-graph has no second position to keep in step.  Serving a query from the
+graph (a new registration on the same fleet) has no second position to
+keep in step.  Serving a query from the
 cached pool is byte-identical to resampling it cold; reuse is free of
 statistical or reproducibility surprises beyond the documented
 cross-query correlation of shared samples.
@@ -26,10 +27,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.diffusion.models import DiffusionModel
-from repro.exceptions import SamplingError
+from repro.exceptions import ParameterError, SamplingError
 from repro.sampling.base import RRSampler, make_sampler
 from repro.sampling.rr_collection import RRCollection
-from repro.sampling.sharded import ShardedSampler, default_fleet, make_parallel_sampler
+from repro.sampling.sharded import ShardedSampler, make_parallel_sampler
 from repro.utils.rng import spawn_rngs
 
 
@@ -39,12 +40,13 @@ class SamplingContext:
     Parameters
     ----------
     graph, model, roots, horizon:
-        As for :func:`repro.sampling.sharded.make_parallel_sampler`.
+        As for :func:`repro.sampling.sharded.make_parallel_sampler`
+        (``horizon`` is its ``max_hops``, refused when negative).
     backend, workers:
-        The fleet, resolved by :func:`~repro.sampling.sharded.default_fleet`
-        (with no backend named: serial at one worker, threads above
-        one).  A backend instance serves the first fleet only; a graph
-        rebind builds the next one by its name.
+        A started fleet to borrow (an engine session's), or the private
+        fleet to start, resolved by
+        :func:`~repro.sampling.sharded.default_fleet` (with no backend
+        named: serial at one worker, threads above one).
     seed:
         Session seed.  An ``int`` (or ``None``) keeps the context fully
         replayable; a :class:`numpy.random.Generator` is accepted for
@@ -74,6 +76,8 @@ class SamplingContext:
         kernel=None,
         graph_version: int = 0,
     ) -> None:
+        if horizon is not None and horizon < 0:
+            raise ParameterError(f"horizon must be non-negative, got {horizon}")
         self.graph = graph
         self.graph_version = int(graph_version)
         self.model = DiffusionModel.parse(model)
@@ -95,9 +99,7 @@ class SamplingContext:
             backend=backend,
             workers=workers,
             kernel=kernel,
-            graph_version=self.graph_version,
         )
-        self._backend = None if backend is None else self.sampler.backend.name
         self.pool = RRCollection(graph.n, stream_id=self.sampler.stream_id)
         self.sampled = 0  # RR sets actually generated into the pool
         self._closed = False
@@ -142,49 +144,7 @@ class SamplingContext:
             rng, self._stored_verify = self._stored_verify, None
         else:  # non-replayable session past its first query: fresh entropy
             rng = None
-        return make_sampler(
-            self.graph, self.model, rng, roots=self.roots, max_hops=self.horizon,
-            graph_version=self.graph_version,
-        )
-
-    # ------------------------------------------------------------------
-    # Elastic workers
-    # ------------------------------------------------------------------
-    @property
-    def workers(self) -> int:
-        """Current worker count of the context's sampler."""
-        return self.sampler.workers
-
-    def resize(self, workers: int) -> None:
-        """Set the fleet's worker count mid-session (byte-invisible).
-
-        Seed-pure streams make ``workers`` a pure throughput knob, so a
-        resize never changes what any query returns.  When
-        :func:`~repro.sampling.sharded.default_fleet` puts the new count
-        on another backend (no backend named, crossing one worker), the
-        fleet is rebuilt on it; otherwise it is resized in place.
-        """
-        if self._closed:
-            raise SamplingError("sampling context is closed")
-        backend, workers = default_fleet(self._backend, int(workers))
-        if backend == self.sampler.backend.name:
-            self.sampler.resize(workers)
-            return
-        old, self.sampler = self.sampler, self._fleet(self.graph, self.graph_version, workers)
-        old.close()
-
-    def _fleet(self, graph, graph_version: int, workers: int) -> ShardedSampler:
-        """A new fleet on the context's stream, backend and horizon."""
-        return make_parallel_sampler(
-            graph,
-            self.model,
-            self.sampler.seed_stream,
-            roots=self.roots,
-            max_hops=self.horizon,
-            backend=self._backend,
-            workers=workers,
-            graph_version=graph_version,
-        )
+        return make_sampler(self.graph, self.model, rng, roots=self.roots, max_hops=self.horizon)
 
     # ------------------------------------------------------------------
     # Graph mutation (see repro.dynamic)
@@ -192,30 +152,34 @@ class SamplingContext:
     def rebind_graph(self, graph, graph_version: int) -> None:
         """Move the context onto a mutated graph snapshot, mid-stream.
 
-        The fleet is rebuilt on ``graph`` from the *same* seed stream at
-        the same worker count; what changes is which bytes future sets
-        contain.  The pool is left as-is: the caller owns repairing the
-        invalidated sets (:func:`repro.dynamic.repair.repair_context`)
-        before serving any query from it.  A node-count change is
-        refused while the pool holds sets — no targeted repair exists
-        (root selection draws over ``n``); retire the pool instead.
+        The stream is registered on ``graph`` on the same fleet; what
+        changes is which bytes future sets contain.  The pool is left
+        as-is: the caller owns repairing the invalidated sets
+        (:func:`repro.dynamic.repair.repair_context`) before serving any
+        query from it.  A node-count change is refused — no targeted
+        repair exists (root selection draws over ``n``).
         """
         if self._closed:
             raise SamplingError("sampling context is closed")
-        graph_version = int(graph_version)
-        if graph.n != self.graph.n and len(self.pool):
+        if graph.n != self.graph.n:
             raise SamplingError(
                 f"node count changed ({self.graph.n} -> {graph.n}): every "
                 "stored set is invalid, retire the pool instead of rebinding"
             )
-        old = self.sampler
-        old.close()  # free ports/shm before the replacement fleet starts
-        self.sampler = self._fleet(graph, graph_version, old.workers)
+        self.sampler.rebind(graph)
         self.graph = graph
-        self.graph_version = graph_version
-        if graph.n != self.pool.n:
-            # Empty pool on a grown/shrunk graph: restart it at the new n.
-            self.pool = RRCollection(graph.n, stream_id=self.sampler.stream_id)
+        self.graph_version = int(graph_version)
+
+    def rebind_fleet(self, fleet) -> None:
+        """Move the stream onto another started fleet, which the context
+        then borrows (byte-invisible: the fleet is throughput)."""
+        if self._closed:
+            raise SamplingError("sampling context is closed")
+        old, self.sampler = self.sampler, make_parallel_sampler(
+            self.graph, self.model, self.sampler.seed_stream, roots=self.roots,
+            max_hops=self.horizon, backend=fleet,
+        )
+        old.close()
 
     def truncate(self, keep: int) -> int:
         """Drop pool sets ``[keep, len)``; returns the number dropped.
@@ -247,7 +211,8 @@ class SamplingContext:
         return self._closed
 
     def close(self) -> None:
-        """Release the backend (idempotent); the pool stays readable."""
+        """Release the stream and a private fleet (idempotent); the pool
+        stays readable."""
         if self._closed:
             return
         self._closed = True

@@ -4,7 +4,7 @@ One-shot calls pay the full setup bill every time: re-validate the
 graph, re-spawn the execution backend (for the process backend that is a
 shared-memory segment plus a worker fleet), sample every RR set from
 zero, throw it all away.  An engine session pays each of those costs
-once:
+once — it runs one fleet, which every pool it opens borrows:
 
 >>> from repro import InfluenceEngine, load_dataset
 >>> with InfluenceEngine(load_dataset("nethept"), model="LT", seed=7) as eng:
@@ -51,6 +51,7 @@ from repro.diffusion.models import DiffusionModel
 from repro.engine.context import SamplingContext
 from repro.engine.registry import AlgorithmSpec, get_algorithm
 from repro.exceptions import ParameterError
+from repro.sampling.backends import BACKENDS, backend_key, make_backend
 from repro.sampling.seedstream import STREAM_ID
 from repro.sampling.sharded import default_fleet
 
@@ -114,8 +115,8 @@ class InfluenceEngine:
         byte-identical output.
     backend, workers, roots:
         Execution backend name, initial worker count, and root
-        distribution shared by every warm sampling context the session
-        opens.  Each pool starts its own fleet, so ``backend`` is a name
+        distribution of the session, whose one fleet starts with its
+        first pool and serves all of them.  ``backend`` is a name
         (``"serial"``, ``"thread"``, ``"process"``, ``"network"``) or
         ``None`` — serial at one worker, threads above one; a network
         fleet's settings come from
@@ -193,9 +194,12 @@ class InfluenceEngine:
         if backend is not None and not isinstance(backend, str):
             raise ParameterError(
                 "InfluenceEngine takes a backend name or None, not a backend "
-                "instance: every pool starts its own fleet.  Configure network "
-                "fleets with repro.sampling.backends.set_network_defaults "
-                "(--hosts on the CLI)"
+                "instance.  Configure network fleets with "
+                "repro.sampling.backends.set_network_defaults (--hosts on the CLI)"
+            )
+        if backend is not None and backend_key(backend) not in BACKENDS:
+            raise ParameterError(
+                f"unknown execution backend {backend!r}; known: {sorted(BACKENDS)}"
             )
         if workers is not None and int(workers) < 1:
             raise ParameterError(f"workers must be >= 1, got {workers}")
@@ -219,6 +223,10 @@ class InfluenceEngine:
         self.stats = EngineStats()
         self._stats_lock = threading.Lock()
         self._mutation_lock = threading.Lock()
+        # Lock order: mutation lock (writes and fleet moves) → manager →
+        # pool entry → fleet lock.
+        self._fleet = None  # started with the session's first pool
+        self._fleet_lock = threading.Lock()
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -259,6 +267,17 @@ class InfluenceEngine:
             self.graph_version,
         )
 
+    def _session_fleet(self):
+        """The session's one fleet, started with its first pool."""
+        with self._fleet_lock:
+            self._check_open()
+            if self._fleet is None:
+                backend, workers = default_fleet(self.backend, self.workers)
+                fleet = make_backend(backend)
+                fleet.start(workers)
+                self._fleet = fleet
+            return self._fleet
+
     def _pool_factory(self, *, stream: str, model: DiffusionModel, horizon: int | None):
         def factory():
             graph, graph_version = self._graph_view.snapshot()
@@ -269,8 +288,7 @@ class InfluenceEngine:
                 split_verify=(stream == "split"),
                 roots=self.roots,
                 horizon=horizon,
-                backend=self.backend,
-                workers=self.workers,
+                backend=self._session_fleet(),
                 graph_version=graph_version,
             )
             return ctx, self.seed
@@ -327,33 +345,44 @@ class InfluenceEngine:
 
     @property
     def active_workers(self) -> int:
-        """The worker count this session actually runs at.
-
-        Reads the live pool samplers (so per-query ``workers=``
-        overrides and resizes show through); with no pool open yet it
-        reports what the first pool would be built with
-        (:func:`~repro.sampling.sharded.default_fleet`).
-        """
-        counts = self._pools.workers_for(self.session)
-        if counts:
-            return max(counts)
-        return default_fleet(self.backend, self.workers)[1]
+        """The worker count of the session's fleet (or of its first pool's)."""
+        with self._fleet_lock:
+            if self._fleet is not None:
+                return self._fleet.workers
+            return default_fleet(self.backend, self.workers)[1]
 
     def resize(self, workers: int) -> int:
-        """Set the session's worker count at runtime; returns pools resized.
+        """Resize the session's fleet at runtime; returns the pools on it.
 
         Seed-pure streams make ``workers`` a pure throughput knob: every
-        open pool's sampler is resized in place and *continues the same
-        stream byte-exactly*, and pools opened later start at the new
-        count.  Queries in flight are unaffected (they read immutable
-        snapshots; top-ups serialize on the pool lock).
+        open pool *continues the same stream byte-exactly*, also when
+        :func:`~repro.sampling.sharded.default_fleet` puts the new count
+        on another backend (its fleet starts once, every pool moves
+        onto it, the old one closes).  Queries in flight are unaffected
+        (they read immutable snapshots; top-ups serialize on the pool
+        lock).
         """
         workers = int(workers)
         if workers < 1:
             raise ParameterError(f"workers must be >= 1, got {workers}")
         self._check_open()
-        self.workers = workers
-        return self._pools.resize_namespace(self.session, workers)
+        with self._mutation_lock:
+            backend, workers = default_fleet(self.backend, workers)
+            with self._fleet_lock:
+                self.workers, old = workers, self._fleet
+                new = old
+                if old is not None and backend != old.name:
+                    new = make_backend(backend)
+                    new.start(workers)
+                    self._fleet = new  # pools opened from here on use it
+            if old is None:
+                return 0
+            if new is old:
+                old.resize(workers)
+                return len(self.pool_sizes())
+            moved = self._pools.rebind_namespace(self.session, new)
+            old.close()
+            return moved
 
     # ------------------------------------------------------------------
     # Queries
@@ -377,10 +406,10 @@ class InfluenceEngine:
         repeat and overlapping queries top up the cached RR pool instead
         of resampling.  Algorithms without an engine body (CELF, degree,
         IRIE) still resolve here for a uniform query surface, but run
-        one-shot.  ``workers`` overrides the pool's worker count for
-        this query onward — a pure throughput knob (seed-pure streams
-        are worker-invariant), so the answer is byte-identical at any
-        value.  Extra keyword arguments are forwarded to the algorithm
+        one-shot.  ``workers`` resizes the session's fleet for this
+        query onward (:meth:`resize`) — a pure throughput knob (seed-pure
+        streams are worker-invariant), so the answer is byte-identical at
+        any value.  Extra keyword arguments are forwarded to the algorithm
         body (e.g. ``split=`` for SSA).
         """
         self._check_open()
@@ -403,11 +432,11 @@ class InfluenceEngine:
             self._account(demand=0, sampled=0)
             return result
 
+        if workers is not None:
+            self.resize(workers)
         with self._query_pool(
             stream=spec.stream, model=query_model, horizon=horizon
         ) as view:
-            if workers is not None:
-                view.resize(workers)
             result = spec.engine_func(
                 view, k, epsilon=epsilon, delta=delta, max_samples=max_samples, **algorithm_kwargs
             )
@@ -462,9 +491,9 @@ class InfluenceEngine:
         query_model = self.model if model is None else DiffusionModel.parse(model)
         if samples is not None and int(samples) < 1:
             raise ParameterError(f"samples must be positive, got {samples}")
+        if workers is not None:
+            self.resize(workers)
         with self._query_pool(stream="direct", model=query_model, horizon=horizon) as view:
-            if workers is not None:
-                view.resize(workers)
             target = (
                 int(samples)
                 if samples is not None
@@ -531,7 +560,7 @@ class InfluenceEngine:
         return self._closed
 
     def close(self) -> None:
-        """Release every warm backend (idempotent).
+        """Release every pool, then the session's fleet (idempotent).
 
         Private pool managers are closed outright; a shared manager only
         drops (and spills, when configured) this session's namespace.
@@ -539,10 +568,16 @@ class InfluenceEngine:
         if self._closed:
             return
         self._closed = True
-        if self._owns_pools:
-            self._pools.close(spill=True)
-        else:
-            self._pools.release_namespace(self.session, spill=True)
+        try:
+            if self._owns_pools:
+                self._pools.close(spill=True)
+            else:
+                self._pools.release_namespace(self.session, spill=True)
+        finally:
+            with self._mutation_lock, self._fleet_lock:
+                fleet, self._fleet = self._fleet, None
+            if fleet is not None:
+                fleet.close()
 
     def __enter__(self) -> "InfluenceEngine":
         return self

@@ -1,20 +1,21 @@
 """Content-addressed CSR graph blobs: shared memory and network transport.
 
-The execution backends ship the influence graph to their workers exactly
-once.  The layout is transport-neutral: a :class:`GraphManifest` pins the
+The execution backends ship each registered graph snapshot to each of
+their workers exactly once.  The layout is transport-neutral: a :class:`GraphManifest` pins the
 six CSR arrays to offsets inside one contiguous byte blob and carries a
 **content hash** (SHA-256 of the laid-out blob), so any transport that can
 move bytes can move a graph:
 
-* the **process backend** lays the blob out in a POSIX shared-memory
-  segment (:func:`share_csr_graph`) and hands workers a
+* the **process backend** lays each snapshot out in one POSIX
+  shared-memory segment (:func:`share_csr_graph`) and hands workers a
   :class:`SharedCSRSpec` — the manifest plus the segment name; workers
-  attach zero-copy with :func:`attach_csr_graph`;
+  attach zero-copy with :func:`attach_csr_graph`.  The segment is
+  unlinked with the last stream registered on its snapshot;
 * the **network backend** packs the same layout into plain bytes
-  (:func:`pack_csr_graph`), and remote worker hosts fetch the blob once,
-  verify it against ``manifest.content_hash``, cache it on disk *by
-  hash*, and rebuild the graph with :func:`unpack_csr_graph` — a host
-  that already holds the hash never fetches again.
+  (:func:`pack_csr_graph`), and remote worker hosts receive the blob
+  once, verify it against ``manifest.content_hash``, cache it on disk
+  *by hash*, and rebuild the graph with :func:`unpack_csr_graph` — a
+  host that announces the hash is never sent the blob again.
 
 Both paths produce byte-identical blobs, so the hash is one identity
 across transports: a graph served over shm and the same graph served
@@ -68,11 +69,6 @@ class GraphManifest:
     fields: tuple[tuple[str, int, int], ...]
     total_bytes: int
     content_hash: str = ""
-    # Mutation lineage position of the snapshot (see repro.dynamic); the
-    # content hash is the fetch key — workers holding the same hash skip
-    # the re-fetch even across versions — while graph_version lets a
-    # coordinator advertise *which* snapshot a fleet is serving.
-    graph_version: int = 0
 
 
 @dataclass(frozen=True)
@@ -108,13 +104,13 @@ def blob_hash(buf) -> str:
     return hashlib.sha256(buf).hexdigest()
 
 
-def pack_csr_graph(graph: CSRGraph, *, graph_version: int = 0) -> tuple[bytes, GraphManifest]:
+def pack_csr_graph(graph: CSRGraph) -> tuple[bytes, GraphManifest]:
     """Serialize ``graph`` into one contiguous content-addressed blob.
 
     Returns ``(blob, manifest)``; ``manifest.content_hash`` is the blob's
-    SHA-256, so receivers can verify a fetched or cached copy before
-    trusting it (and skip re-fetching a blob they already hold — after a
-    mutation only a changed hash forces a transfer).
+    SHA-256, so receivers can verify a received or cached copy before
+    trusting it (and a host that already holds a hash is not sent the
+    blob again — after a mutation only a changed hash forces a transfer).
     """
     fields, total = _layout(graph)
     blob = bytearray(max(total, 1))  # zero-filled, padding included
@@ -126,7 +122,6 @@ def pack_csr_graph(graph: CSRGraph, *, graph_version: int = 0) -> tuple[bytes, G
         fields=fields,
         total_bytes=max(total, 1),
         content_hash=blob_hash(blob),
-        graph_version=int(graph_version),
     )
 
 
@@ -136,7 +131,7 @@ def unpack_csr_graph(manifest: GraphManifest, buf) -> CSRGraph:
     The graph's arrays are zero-copy views into ``buf`` (read-only when
     ``buf`` is ``bytes``), so the caller must keep the buffer alive for
     the graph's lifetime.  Verification against ``content_hash`` is the
-    caller's job (do it once at fetch time, not per attach — see
+    caller's job (do it once on receipt, not per attach — see
     :func:`verify_blob`).
     """
     if len(buf) < manifest.total_bytes:
@@ -163,12 +158,12 @@ def verify_blob(manifest: GraphManifest, buf) -> None:
     if got != manifest.content_hash:
         raise GraphIOError(
             f"graph blob hash mismatch: manifest says {manifest.content_hash[:16]}…, "
-            f"blob is {got[:16]}… (corrupt fetch or stale cache entry)"
+            f"blob is {got[:16]}… (corrupt transfer or stale cache entry)"
         )
 
 
 def share_csr_graph(
-    graph: CSRGraph, *, name: str | None = None, graph_version: int = 0
+    graph: CSRGraph, *, name: str | None = None
 ) -> tuple[shared_memory.SharedMemory, SharedCSRSpec]:
     """Copy ``graph``'s CSR arrays into a new shared-memory segment.
 
@@ -192,7 +187,6 @@ def share_csr_graph(
         fields=fields,
         total_bytes=max(total, 1),
         content_hash=content_hash,
-        graph_version=int(graph_version),
     )
     return shm, spec
 

@@ -10,7 +10,7 @@ RR stream).
 from __future__ import annotations
 
 from repro.exceptions import SamplingError
-from repro.sampling.backends.base import ExecutionBackend, WorkerSpec
+from repro.sampling.backends.base import ExecutionBackend, StreamSpec
 from repro.sampling.backends.network import (
     NetworkBackend,
     parse_hosts_spec,
@@ -57,7 +57,7 @@ def make_backend(backend: "str | ExecutionBackend") -> ExecutionBackend:
 
 __all__ = [
     "ExecutionBackend",
-    "WorkerSpec",
+    "StreamSpec",
     "SerialBackend",
     "ThreadBackend",
     "ProcessBackend",

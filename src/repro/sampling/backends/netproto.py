@@ -11,10 +11,10 @@ networks.
 
 The module also holds the worker-side **blob cache**: graph blobs are
 content-addressed (:class:`repro.graph.shm.GraphManifest`), so a worker
-host stores each fetched blob under its hash and never fetches the same
-graph twice — a rejoining host warm-starts from disk.  Cache entries are
-verified against the manifest hash on load; a corrupt entry is dropped
-and re-fetched rather than trusted.
+host stores each blob under its hash and announces the hashes it holds
+when it dials in, so a rejoining host warm-starts from disk.  Cache
+entries are verified against the manifest hash on load; a corrupt entry
+is dropped, not trusted.
 """
 
 from __future__ import annotations
@@ -70,12 +70,18 @@ def blob_cache_path(cache_dir: str, content_hash: str) -> str:
     return os.path.join(cache_dir, f"csr-{content_hash}.blob")
 
 
+def cached_hashes(cache_dir: str | None) -> list[str]:
+    """The content hashes ``cache_dir`` holds blobs for (announced at hello)."""
+    names = os.listdir(cache_dir) if cache_dir and os.path.isdir(cache_dir) else []
+    return [n[4:-5] for n in names if n.startswith("csr-") and n.endswith(".blob")]
+
+
 def load_cached_blob(cache_dir: str | None, manifest: GraphManifest) -> "bytes | None":
     """Return the cached blob for ``manifest`` if present and intact.
 
     A cache entry whose bytes no longer hash to its name (torn write,
-    disk corruption) is deleted and ``None`` returned, forcing a fresh
-    fetch instead of sampling over garbage.
+    disk corruption) is deleted and ``None`` returned instead of
+    sampling over garbage.
     """
     if cache_dir is None or not manifest.content_hash:
         return None

@@ -7,14 +7,14 @@ the two invariants the earlier PRs established:
   ``(seed, g)``, so any worker anywhere can compute any set and the
   merged stream has no memory of *which* host computed what;
 * **content-addressed graphs** (:mod:`repro.graph.shm`): the graph is
-  one hashed blob, so a host fetches it at most once and a rejoining
+  one hashed blob, so a host receives it at most once and a rejoining
   host warm-starts from its disk cache.
 
 Topology: the coordinator (this backend) listens on a TCP port; worker
-hosts dial in (``repro worker --connect HOST:PORT``), register under a
-**heartbeat lease**, fetch the graph blob by content hash if they do not
-already cache it, and then serve global-index batches over
-length-prefixed frames (:mod:`repro.sampling.backends.netproto`).
+hosts dial in (``repro worker --connect HOST:PORT``) and announce the
+blob hashes they cache, register under a **heartbeat lease**, and serve
+global-index batches of every registered stream over length-prefixed
+frames (:mod:`repro.sampling.backends.netproto`).
 
 Fault tolerance falls out of statelessness, through the
 dispatch-and-retry loop the process fleet shares
@@ -33,10 +33,10 @@ dispatch-and-retry loop the process fleet shares
   reporting an application error, which would recur on any host,
   surfaces a :class:`~repro.exceptions.SamplingError`.
 
-By default the backend is **self-hosting**: ``start`` spawns
-``spec.workers`` loopback ``repro worker`` subprocesses, so
-``--backend network`` works with zero orchestration and exercises the
-full TCP + blob-fetch + lease stack.  Pass ``spawn=0`` (CLI:
+By default the backend is **self-hosting**: ``start`` spawns one
+loopback ``repro worker`` subprocess per worker, so ``--backend
+network`` works with zero orchestration and exercises the full TCP +
+blob + lease stack.  Pass ``spawn=0`` (CLI:
 ``--hosts HOST:PORT,min=K``) to instead listen for externally started
 worker hosts.  The transport trusts its peers (pickle frames — see
 :mod:`~repro.sampling.backends.netproto`); keep fleet ports inside one
@@ -54,7 +54,6 @@ import sys
 import tempfile
 import threading
 import time
-from dataclasses import replace
 
 from repro.exceptions import SamplingError
 from repro.graph.shm import pack_csr_graph, unpack_csr_graph, verify_blob
@@ -62,14 +61,13 @@ from repro.sampling.backends.base import (
     WorkerFailed,
     WorkerFleet,
     WorkerLost,
-    WorkerSpec,
-    build_worker_sampler,
     remove_file,
-    run_worker_batch,
+    serve_frames,
 )
 from repro.sampling.block import RRBlock
 from repro.sampling.backends.netproto import (
     ConnectionClosed,
+    cached_hashes,
     load_cached_blob,
     parse_address,
     recv_frame,
@@ -84,7 +82,7 @@ from repro.sampling.backends.netproto import (
 #: threading constructor arguments through every layer.
 _DEFAULTS: dict = {
     "listen": "127.0.0.1:0",
-    "spawn": None,  # None = auto: spawn spec.workers loopback workers
+    "spawn": None,  # None = auto: one loopback worker per fleet worker
     "min_hosts": None,  # None = spawn target when self-hosting, else 0
     "lease_ttl": 10.0,
     "cache_dir": None,  # None = per-backend temp dir for spawned workers
@@ -158,6 +156,8 @@ class _HostLease:
         self.last_beat = time.monotonic()
         self.batches_dispatched = 0
         self.batch_seq = 0  # sequence number of this lease's batch in flight
+        self.cached: set = set()  # blob hashes the host announced at hello
+        self.held: dict = {}  # registration -> snapshot, as sent to the host
         self.replies: "queue.Queue[tuple]" = queue.Queue()
         self._send_lock = threading.Lock()
         self._death_lock = threading.Lock()
@@ -226,7 +226,7 @@ class NetworkBackend(WorkerFleet):
         self._owns_cache_dir = False
         self._spawn_managed = True
         # Intended self-hosted fleet size, which the reaper heals back to.
-        # Separate from _spec.workers: spawn=N and add_local_worker set
+        # Separate from the worker count: spawn=N and add_local_worker set
         # it without touching the nominal worker count.
         self._fleet_target = 0
         self._lock = threading.RLock()
@@ -238,9 +238,7 @@ class NetworkBackend(WorkerFleet):
         self._listener_sock: "socket.socket | None" = None
         self._threads: list[threading.Thread] = []
         self._stopping = threading.Event()
-        self._blob: "bytes | None" = None
-        self._manifest = None
-        self._wire_spec: "WorkerSpec | None" = None
+        self._payloads: dict = {}  # snapshot -> (blob, GraphManifest)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -252,15 +250,9 @@ class NetworkBackend(WorkerFleet):
             raise SamplingError("network backend is not listening (start it first)")
         return self._listener_sock.getsockname()[:2]
 
-    def _start(self, spec: WorkerSpec) -> None:
-        self._blob, self._manifest = pack_csr_graph(
-            spec.graph, graph_version=spec.graph_version
-        )
-        # The graph travels as the content-addressed blob, never pickled
-        # inside the spec.
-        self._wire_spec = replace(spec, graph=None)
+    def _start(self, workers: int) -> None:
         self._spawn_managed = self._spawn_cfg is None or self._spawn_cfg > 0
-        spawn_target = spec.workers if self._spawn_cfg is None else int(self._spawn_cfg)
+        spawn_target = workers if self._spawn_cfg is None else int(self._spawn_cfg)
         self._fleet_target = spawn_target if self._spawn_managed else 0
         min_hosts = self._min_hosts_cfg
         if min_hosts is None:
@@ -368,8 +360,7 @@ class NetworkBackend(WorkerFleet):
         with self._cond:
             self._hosts.clear()
         self._listener_sock = None
-        self._blob = None
-        self._manifest = None
+        self._payloads = {}
         if self._owns_cache_dir and self._cache_dir is not None:
             shutil.rmtree(self._cache_dir, ignore_errors=True)
             self._cache_dir = None
@@ -405,7 +396,7 @@ class NetworkBackend(WorkerFleet):
             ).start()
 
     def _conn_loop(self, sock: socket.socket, peer: str) -> None:
-        """Serve one worker host: handshake, blob fetch, replies, beats."""
+        """Serve one worker host: handshake, replies, beats."""
         host: "_HostLease | None" = None
         try:
             hello = recv_frame(sock)
@@ -418,24 +409,13 @@ class NetworkBackend(WorkerFleet):
                 info = hello[1] if len(hello) > 1 and isinstance(hello[1], dict) else {}
                 host.label = str(info.get("label") or f"host-{self._lease_seq}")
                 host.pid = info.get("pid")
+                host.cached = set(info.get("cached") or ())
                 self._hosts[host.lease_id] = host
-            host.send(
-                (
-                    "welcome",
-                    {
-                        "lease_id": host.lease_id,
-                        "lease_ttl": self._lease_ttl,
-                        "spec": self._wire_spec,
-                        "manifest": self._manifest,
-                    },
-                )
-            )
+            host.send(("welcome", {"lease_id": host.lease_id, "lease_ttl": self._lease_ttl}))
             while not self._stopping.is_set():
                 message = recv_frame(sock)
                 kind = message[0]
-                if kind == "fetch":
-                    host.send(("blob", self._blob))
-                elif kind == "ready":
+                if kind == "ready":
                     with self._cond:
                         host.ready = True
                         self._cond.notify_all()
@@ -623,17 +603,30 @@ class NetworkBackend(WorkerFleet):
                 self._cond.wait(min(0.1, remaining))
 
     # ------------------------------------------------------------------
-    # Fan-out transport (the loop is WorkerFleet's)
+    # Registry transport and fan-out (the loops are WorkerFleet's)
     # ------------------------------------------------------------------
-    def _live_workers(self) -> list[_HostLease]:
-        return self._await_ready_hosts()
+    def _live_workers(self, wait: bool = True) -> list[_HostLease]:
+        return self._await_ready_hosts() if wait else self.live_hosts()
 
-    def _dispatch(self, host: _HostLease, indices, roots) -> None:
-        host.batch_seq += 1
+    def _held(self, host: _HostLease) -> dict:
+        return host.held
+
+    def _send(self, host: _HostLease, message: tuple) -> None:
         try:
-            host.send(("sample", host.batch_seq, indices, roots))
+            host.send(message)
         except ConnectionClosed as exc:
             raise WorkerLost(f"is gone: {exc}") from exc
+
+    def _graph_frame(self, host: _HostLease, snapshot: int):
+        """``(manifest, blob)``; no blob for a hash the host announced."""
+        if snapshot not in self._payloads:
+            self._payloads[snapshot] = pack_csr_graph(self._graphs[snapshot])
+        blob, manifest = self._payloads[snapshot]
+        return manifest, None if manifest.content_hash in host.cached else blob
+
+    def _dispatch(self, host: _HostLease, registration: int, indices, roots) -> None:
+        host.batch_seq += 1
+        self._send(host, ("sample", host.batch_seq, registration, indices, roots))
         host.batches_dispatched += 1
 
     def _collect(self, host: _HostLease) -> RRBlock:
@@ -672,11 +665,11 @@ def run_worker(
     """Join a sampling fleet as one worker host; returns an exit code.
 
     Dials the coordinator (retrying for ``retry_for`` seconds, so workers
-    may be launched before the coordinator is up), registers under a
-    heartbeat lease, fetches the graph blob unless ``cache_dir`` already
-    holds its content hash, and then serves index batches until the
-    coordinator closes the connection.  The worker holds **no stream
-    state** — it is safe to kill at any time and to start late.
+    may be launched before the coordinator is up), announces the blob
+    hashes ``cache_dir`` holds, registers under a heartbeat lease, and
+    then serves every stream of the session until it closes.  The worker
+    holds **no stream state** — it is safe to kill at any time and to
+    start late.
     """
     address = parse_address(connect)
     deadline = time.monotonic() + max(0.0, float(retry_for))
@@ -700,27 +693,24 @@ def run_worker(
         with send_lock:
             send_frame(sock, message)
 
+    def load(payload):
+        manifest, blob = payload
+        if blob is None:  # a hash this host announced
+            blob = load_cached_blob(cache_dir, manifest)
+            if blob is None:
+                raise SamplingError(f"graph {manifest.content_hash[:16]}… left the blob cache")
+        else:
+            verify_blob(manifest, blob)  # never sample over a corrupt transfer
+            store_cached_blob(cache_dir, manifest, blob)
+        return unpack_csr_graph(manifest, blob), blob
+
     try:
-        send(("hello", {"pid": os.getpid(), "label": label or socket.gethostname()}))
+        hello = {"pid": os.getpid(), "label": label or socket.gethostname()}
+        send(("hello", dict(hello, cached=cached_hashes(cache_dir))))
         welcome = recv_frame(sock)
         if not (isinstance(welcome, tuple) and welcome[0] == "welcome"):
             raise SamplingError(f"coordinator sent {welcome!r} instead of a welcome")
-        details = welcome[1]
-        spec: WorkerSpec = details["spec"]
-        manifest = details["manifest"]
-        lease_ttl = float(details["lease_ttl"])
-
-        blob = load_cached_blob(cache_dir, manifest)
-        if blob is None:
-            send(("fetch",))
-            reply = recv_frame(sock)
-            if not (isinstance(reply, tuple) and reply[0] == "blob"):
-                raise SamplingError(f"coordinator sent {reply!r} instead of the graph blob")
-            blob = reply[1]
-            verify_blob(manifest, blob)  # never sample over a corrupt fetch
-            store_cached_blob(cache_dir, manifest, blob)
-        graph = unpack_csr_graph(manifest, blob)
-        sampler = build_worker_sampler(spec, graph=graph)
+        lease_ttl = float(welcome[1]["lease_ttl"])
 
         def heartbeat_loop() -> None:
             interval = max(0.05, lease_ttl / 3.0)
@@ -734,33 +724,13 @@ def run_worker(
 
         threading.Thread(target=heartbeat_loop, name="rr-worker-beat", daemon=True).start()
         send(("ready",))
-
-        while True:
-            try:
-                message = recv_frame(sock)
-            except ConnectionClosed:
-                return 0  # coordinator gone: a stateless worker just leaves
-            kind = message[0]
-            if kind == "sample":
-                _, seq, indices, roots = message
-                try:
-                    block = run_worker_batch(sampler, indices, roots)
-                    send(("result", seq, block.flat, block.offsets))
-                except Exception as exc:  # surface worker faults, keep serving
-                    send(("error", seq, f"{type(exc).__name__}: {exc}"))
-            elif kind == "abort":
-                # Fault injection for crash tests: die hard, leaving only
-                # stderr behind (no protocol goodbye) — like a real crash.
-                print(message[1], file=sys.stderr, flush=True)
-                os._exit(70)
-            elif kind == "pause_heartbeat":
-                pause_beats.set()  # fault injection for lease-expiry tests
-            elif kind == "close":
-                return 0
-            # anything else: ignore (forward-compatible)
+        serve_frames(lambda: recv_frame(sock), send, load, lambda blob: None, pause_beats.set)
+    except ConnectionClosed:
+        pass  # coordinator gone: a stateless worker just leaves
     finally:
         stop_beats.set()
         try:
             sock.close()
         except OSError:
             pass
+    return 0

@@ -2,9 +2,9 @@
 
 One long-lived :class:`~concurrent.futures.ThreadPoolExecutor` runs
 each worker's contiguous run of the index batch as a task.  Each worker
-owns a private sampler object (its running coin mean must not be shared
-across concurrent tasks), but samplers carry no stream state — every
-draw derives from the set's global index — so results are
+owns a private sampler object per stream (its running coin mean must
+not be shared across concurrent tasks), but samplers carry no stream
+state — every draw derives from the set's global index — so results are
 byte-identical to :class:`~repro.sampling.backends.serial.SerialBackend`
 at any fleet size: threads change *when* a set is computed, never
 *what* it computes.
@@ -22,13 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from repro.sampling.backends.base import (
-    ExecutionBackend,
-    WorkerSpec,
-    build_worker_sampler,
-    run_worker_batch,
-    split_runs,
-)
+from repro.sampling.backends.base import ExecutionBackend, run_worker_batch, split_runs
 from repro.sampling.block import RRBlock
 
 
@@ -41,32 +35,20 @@ class ThreadBackend(ExecutionBackend):
     def __init__(self) -> None:
         super().__init__()
         self._pool: ThreadPoolExecutor | None = None
-        self._samplers: list = []
 
-    def _start(self, spec: WorkerSpec) -> None:
-        self._samplers = [build_worker_sampler(spec) for _ in range(spec.workers)]
-        self._pool = ThreadPoolExecutor(
-            max_workers=spec.workers, thread_name_prefix="rr-worker"
-        )
+    def _start(self, workers: int) -> None:
+        self._pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="rr-worker")
 
     def _resize(self, workers: int) -> None:
-        # Workers are stateless; grow or shrink the sampler list and
-        # swap the executor so the pool width tracks the fleet.
-        if workers > len(self._samplers):
-            self._samplers.extend(
-                build_worker_sampler(self._spec)
-                for _ in range(workers - len(self._samplers))
-            )
-        else:
-            del self._samplers[workers:]
+        # Workers are stateless; swap the executor so the pool width
+        # tracks the fleet (each stream's samplers grow on demand).
         old = self._pool
-        self._pool = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="rr-worker"
-        )
+        self._pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="rr-worker")
         if old is not None:
             old.shutdown(wait=True)
 
-    def _sample_shards(self, indices: np.ndarray, roots: "np.ndarray | None") -> list[RRBlock]:
+    def _sample_shards(self, registration, indices: np.ndarray, roots) -> list[RRBlock]:
+        samplers = self._local_samplers_locked(registration, self._workers)
         futures = [
             self._pool.submit(
                 run_worker_batch,
@@ -74,9 +56,7 @@ class ThreadBackend(ExecutionBackend):
                 indices[lo:hi],
                 None if roots is None else roots[lo:hi],
             )
-            for sampler, (lo, hi) in zip(
-                self._samplers, split_runs(indices.size, len(self._samplers))
-            )
+            for sampler, (lo, hi) in zip(samplers, split_runs(indices.size, len(samplers)))
         ]
         return [future.result() for future in futures]
 
@@ -84,4 +64,3 @@ class ThreadBackend(ExecutionBackend):
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-        self._samplers = []

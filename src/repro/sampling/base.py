@@ -53,14 +53,10 @@ class RRSampler(abc.ABC):
         roots: "UniformRoots | WeightedRoots | None" = None,
         max_hops: int | None = None,
         kernel: "str | SamplingKernel | None" = None,
-        graph_version: int = 0,
     ) -> None:
         if max_hops is not None and max_hops < 0:
             raise ValueError(f"max_hops must be non-negative, got {max_hops}")
         self.graph = graph
-        # Mutation-lineage position of `graph` (0 = the pristine snapshot;
-        # see repro.dynamic); fleets stamp it into their graph manifests.
-        self.graph_version = int(graph_version)
         # The stream identity: every draw derives from this key, a global
         # set index and what the draw decides, nothing else.  A Generator
         # seed contributes only its SeedSequence.
@@ -188,7 +184,6 @@ def make_sampler(
     roots: "UniformRoots | WeightedRoots | None" = None,
     max_hops: int | None = None,
     kernel: "str | SamplingKernel | None" = None,
-    graph_version: int = 0,
 ) -> RRSampler:
     """Factory: the right sampler class for a diffusion model.
 
@@ -202,8 +197,5 @@ def make_sampler(
 
     parsed = DiffusionModel.parse(model)
     cls = ICSampler if parsed is DiffusionModel.IC else LTSampler
-    return cls(
-        graph, seed, roots=roots, max_hops=max_hops, kernel=kernel,
-        graph_version=graph_version,
-    )
+    return cls(graph, seed, roots=roots, max_hops=max_hops, kernel=kernel)
 

@@ -10,8 +10,9 @@ be i.i.d. RR sets.
 pure function of ``(seed, g)`` — every draw it makes, its root
 included, is a counter-based function of its key ``F(seed, g)``
 (:mod:`repro.sampling.seedstream`) — so which worker computes which set
-carries no weight.  The coordinator hands each index batch whole to a
-pluggable :class:`~repro.sampling.backends.base.ExecutionBackend`, which
+carries no weight.  The coordinator registers its stream on a pluggable
+:class:`~repro.sampling.backends.base.ExecutionBackend` (the pools of an
+engine session share one), hands each index batch whole to it, which
 alone decides the split, and concatenates the blocks it returns:
 
 * ``serial`` — one in-process kernel sampler computes the batch, no
@@ -21,7 +22,7 @@ alone decides the split, and concatenates the blocks it returns:
 * ``process`` — contiguous runs go to persistent OS processes that
   attach the CSR graph through shared memory and exchange only index/RR
   batches;
-* ``network`` — contiguous runs go to remote hosts over TCP that fetch
+* ``network`` — contiguous runs go to remote hosts over TCP that receive
   the graph as a content-addressed blob and serve batches under
   heartbeat leases (hosts may join, crash, or expire mid-stream; the
   backend splits each batch over the live fleet and resends lost runs
@@ -53,7 +54,7 @@ from repro.graph.digraph import CSRGraph
 from repro.sampling.backends import (
     ExecutionBackend,
     SerialBackend,
-    WorkerSpec,
+    StreamSpec,
     backend_key,
     default_worker_count,
     make_backend,
@@ -64,7 +65,7 @@ from repro.sampling.roots import UniformRoots, WeightedRoots
 
 
 class ShardedSampler(RRSampler):
-    """RR sampler that fans sampling out over W backend workers.
+    """RR sampler that fans one stream out over a fleet's workers.
 
     Parameters
     ----------
@@ -79,10 +80,13 @@ class ShardedSampler(RRSampler):
         distribution (shipped to workers — each set's root is drawn from
         the set's own key, so WRIS shards exactly like RIS).
     backend:
-        Backend name (``"serial"``, ``"thread"``, ``"process"``,
-        ``"network"``), a not-yet-started :class:`ExecutionBackend`
-        instance, or ``None`` for :func:`default_fleet`'s pick (serial at
-        one worker, threads above one).
+        A *started* :class:`ExecutionBackend` is borrowed (an engine
+        session's pools borrow its fleet): :meth:`close` only releases
+        the stream's registration.  Anything else — a name
+        (``"serial"``, ``"thread"``, ``"process"``, ``"network"``), an
+        unstarted instance, or ``None`` for :func:`default_fleet`'s pick
+        (serial at one worker, threads above one) — is started here and
+        closed by :meth:`close`.
     kernel:
         Accepted kernel name (see :mod:`repro.sampling.kernels`); it
         selects nothing and never reaches the workers.
@@ -99,34 +103,30 @@ class ShardedSampler(RRSampler):
         max_hops: int | None = None,
         backend: "str | ExecutionBackend | None" = None,
         kernel=None,
-        graph_version: int = 0,
     ) -> None:
-        backend, workers = default_fleet(backend, workers)
         self.model = DiffusionModel.parse(model)
-        super().__init__(
-            graph, seed, roots=roots, max_hops=max_hops, kernel=kernel,
-            graph_version=graph_version,
-        )
-        self.backend = make_backend(backend)
-        self.backend.start(
-            WorkerSpec(
-                graph=graph,
-                model=self.model,
-                entropy=self.seed_stream.entropy,
-                spawn_key=self.seed_stream.spawn_key,
-                workers=workers,
-                roots=self.roots,
-                max_hops=max_hops,
-                graph_version=self.graph_version,
-            )
-        )
+        super().__init__(graph, seed, roots=roots, max_hops=max_hops, kernel=kernel)
+        self._owns_backend = not (isinstance(backend, ExecutionBackend) and backend.started)
+        if self._owns_backend:
+            backend, workers = default_fleet(backend, workers)
+            backend = make_backend(backend)
+            backend.start(workers)
+        self.backend = backend
+        seed = self.seed_stream
+        self._stream = StreamSpec(self.model, seed.entropy, seed.spawn_key, self.roots, max_hops)
+        try:
+            self.registration = backend.register(graph, self._stream)
+        except BaseException:
+            if self._owns_backend:
+                backend.close()
+            raise
 
     # ------------------------------------------------------------------
     # RRSampler interface
     # ------------------------------------------------------------------
     @property
     def workers(self) -> int:
-        """The backend's worker count (a throughput knob; see :meth:`resize`)."""
+        """The fleet's worker count (a throughput knob; see :meth:`resize`)."""
         return self.backend.workers
 
     def _sample_keys(self, keys, roots):  # pragma: no cover
@@ -145,7 +145,7 @@ class ShardedSampler(RRSampler):
         indices = np.asarray(indices, dtype=np.int64)
         if indices.size == 0:
             return RRBlock.pack(())
-        return RRBlock.concat(self.backend.sample_shards(indices, roots))
+        return RRBlock.concat(self.backend.sample_shards(self.registration, indices, roots))
 
     def sample_batch(self, count: int) -> RRBlock:
         """Fan the next ``count`` global indices out, merged in index order.
@@ -160,18 +160,28 @@ class ShardedSampler(RRSampler):
             return RRBlock.pack(())
         base = self._cursor
         merged = RRBlock.concat(
-            self.backend.sample_shards(np.arange(base, base + count, dtype=np.int64))
+            self.backend.sample_shards(
+                self.registration, np.arange(base, base + count, dtype=np.int64)
+            )
         )
         self._cursor = base + count
         self.sets_generated += count
         self.entries_generated += int(merged.flat.size)
         return merged
 
+    def rebind(self, graph: CSRGraph) -> None:
+        """Move the stream onto another graph snapshot of the same fleet:
+        only the bytes the graph decides change.  Releasing first lets
+        the old snapshot go before the new one is laid out."""
+        self.backend.release(self.registration)
+        self.registration = self.backend.register(graph, self._stream)
+        self.graph = graph
+
     # ------------------------------------------------------------------
     # Elastic fleet
     # ------------------------------------------------------------------
     def resize(self, workers: int) -> None:
-        """Change the worker count mid-stream (byte-invisible).
+        """Change the fleet's worker count mid-stream (byte-invisible).
 
         Seed-pure derivation makes the fleet size pure throughput: the
         backend splits the next batch over the new count.
@@ -182,8 +192,10 @@ class ShardedSampler(RRSampler):
     # Diagnostics / lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Shut the backend down (terminates process-backend workers)."""
-        self.backend.close()
+        """Release the stream, and the fleet if this sampler started it."""
+        self.backend.release(self.registration)
+        if self._owns_backend:
+            self.backend.close()
 
     def __enter__(self) -> "ShardedSampler":
         return self
@@ -201,8 +213,8 @@ def default_fleet(
     ``workers=None`` is one worker on the serial backend (named or not)
     and this machine's CPU count on any other; ``backend=None`` is
     serial in-process at one worker and threads above one.  Every
-    :class:`ShardedSampler` applies this rule at construction, and a
-    :class:`~repro.engine.context.SamplingContext` on every resize.
+    fleet a :class:`ShardedSampler` or an engine session starts follows
+    this rule, and so does a session's resize.
     """
     if workers is None:
         serial = backend is None or backend_key(backend) == SerialBackend.name
@@ -224,10 +236,9 @@ def make_parallel_sampler(
     backend: "str | ExecutionBackend | None" = None,
     workers: int | None = None,
     kernel=None,
-    graph_version: int = 0,
 ) -> ShardedSampler:
-    """Factory: a :class:`ShardedSampler` on the fleet
-    :func:`default_fleet` picks for ``(backend, workers)``.
+    """Factory: a :class:`ShardedSampler` on a borrowed started fleet,
+    or on the fleet :func:`default_fleet` picks for ``(backend, workers)``.
 
     Callers should ``close()`` the returned sampler when done.
     """
@@ -240,5 +251,4 @@ def make_parallel_sampler(
         max_hops=max_hops,
         backend=backend,
         kernel=kernel,
-        graph_version=graph_version,
     )

@@ -4,7 +4,8 @@ This module is what makes "condition once, query many times" safe to
 share between users.  A :class:`PoolManager` owns every warm sampling
 context of a service (or of a thread-safe
 :class:`~repro.engine.engine.InfluenceEngine`), keyed by
-``(namespace, stream, model, horizon)``:
+``(namespace, stream, model, horizon)``; every pool of a namespace
+samples on its session's one fleet.
 
 * **Snapshot isolation** — each in-flight query reads an immutable
   prefix :class:`~repro.sampling.rr_collection.RRSnapshot` of the shared
@@ -116,14 +117,6 @@ class QueryView:
         self._snap = snap
         return snap
 
-    def resize(self, workers: int) -> None:
-        """Per-query worker override: resize the shared pool's sampler.
-
-        Byte-invisible (the stream is seed-pure), so one query asking
-        for more throughput can never change another query's answer.
-        """
-        self._entry.resize(int(workers))
-
     def fresh_verifier(self):
         # Thread-safe for replayable (int) session seeds: the verifier is
         # re-derived per call without touching shared mutable state.
@@ -163,19 +156,6 @@ class _PoolEntry:
     def snapshot(self):
         with self.lock:
             return self.ctx.pool.snapshot()
-
-    def resize(self, workers: int) -> bool:
-        """Resize the backing context; False if it was already retired.
-
-        Namespace-wide resizes collect entries and then take each entry
-        lock in turn, so an entry can be evicted (context closed) in
-        between — that is a skip, not an error.
-        """
-        with self.lock:
-            if self.ctx.closed:
-                return False
-            self.ctx.resize(workers)
-            return True
 
     @property
     def nbytes(self) -> int:
@@ -518,17 +498,19 @@ class PoolManager:
                 return sum(self._truncations.values())
             return self._truncations.get(namespace, 0)
 
-    def resize_namespace(self, namespace: str, workers: int) -> int:
-        """Resize every open pool of one namespace; returns pools resized.
-
-        Safe mid-stream: seed-pure streams make the worker count pure
-        throughput, so in-flight queries of other sessions (and even of
-        this one) keep returning byte-identical answers.  Entries evicted
-        concurrently (between collection and their resize) are skipped.
-        """
+    def rebind_namespace(self, namespace: str, fleet) -> int:
+        """Move every open pool of one namespace onto another started
+        fleet (byte-invisible, between top-ups); returns pools moved.
+        Entries evicted between collection and their move are skipped."""
         with self._lock:
             entries = [e for k, e in self._entries.items() if k.namespace == namespace]
-        return sum(1 for entry in entries if entry.resize(workers))
+        moved = 0
+        for entry in entries:
+            with entry.lock:
+                if not entry.ctx.closed:
+                    entry.ctx.rebind_fleet(fleet)
+                    moved += 1
+        return moved
 
     # ------------------------------------------------------------------
     # Graph mutation (see repro.dynamic)
@@ -608,15 +590,6 @@ class PoolManager:
         total = report["sets_total"]
         report["repair_fraction"] = report["invalidated"] / total if total else 0.0
         return report
-
-    def workers_for(self, namespace: str) -> "list[int]":
-        """Actual worker counts of the namespace's open pools."""
-        with self._lock:
-            return [
-                e.ctx.workers
-                for k, e in self._entries.items()
-                if k.namespace == namespace and not e.ctx.closed
-            ]
 
     def reattached_for(self, namespace: str) -> int:
         """Lifetime count of sets loaded from disk spills (warm starts)."""

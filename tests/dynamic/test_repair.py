@@ -13,6 +13,7 @@ from repro.dynamic import GraphDelta, MutableGraphView
 from repro.dynamic.repair import repair_context
 from repro.engine.context import SamplingContext
 from repro.exceptions import SamplingError
+from repro.sampling.backends import make_backend
 
 SEED = 2016
 POOL = 300
@@ -21,6 +22,7 @@ BACKENDS = [
     pytest.param(None, None, id="serial"),
     pytest.param("thread", 2, id="thread"),
     pytest.param("process", 2, id="process"),
+    pytest.param("network", 2, id="network"),
 ]
 
 
@@ -112,18 +114,20 @@ class TestByteIdentity:
         finally:
             ctx.close()
 
-    def test_resize_after_a_mutation_keeps_the_lineage(self, small_wc_graph):
-        """Moving a repaired serial context onto a thread fleet carries
-        its graph_version along, and the stream continues as cold."""
+    def test_fleet_move_after_a_mutation_keeps_the_lineage(self, small_wc_graph):
+        """Moving a repaired serial context onto a thread fleet keeps its
+        graph_version and snapshot, and the stream continues as cold."""
         delta = _localized_delta(small_wc_graph)
         ctx = SamplingContext(small_wc_graph, "IC", seed=SEED)
+        fleet = make_backend("thread")
+        fleet.start(2)
         try:
             ctx.require(50)
             mutated = MutableGraphView(small_wc_graph).apply(delta)
             repair_context(ctx, mutated, 1, delta)
-            ctx.resize(2)
-            assert ctx.workers == 2 and ctx.sampler.backend.name == "thread"
-            assert ctx.sampler.graph_version == 1
+            ctx.rebind_fleet(fleet)
+            assert ctx.sampler.workers == 2 and ctx.sampler.backend is fleet
+            assert ctx.graph_version == 1 and ctx.sampler.graph is mutated
             ctx.require(80)
             with SamplingContext(mutated, "IC", seed=SEED) as cold:
                 cold.require(80)
@@ -131,6 +135,7 @@ class TestByteIdentity:
                     assert np.array_equal(ctx.pool[i], cold.pool[i]), i
         finally:
             ctx.close()
+            fleet.close()
 
     def test_node_growth_refuses_in_place_rebind(self, small_wc_graph):
         delta = GraphDelta().add_edge(0, small_wc_graph.n, 0.5)

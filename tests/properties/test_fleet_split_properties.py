@@ -62,7 +62,7 @@ def test_runs_concatenate_to_the_reference_and_balance(graph, fleets, indices, d
     )
     want = reference_block(make_sampler(graph, "IC", SEED), indices, pinned)
     for (backend, workers), sampler in fleets.items():
-        runs = sampler.backend.sample_shards(indices, pinned)
+        runs = sampler.backend.sample_shards(sampler.registration, indices, pinned)
         sizes = [len(run) for run in runs]
         expected_runs = 1 if backend == "serial" else min(workers, len(indices))
         assert len(runs) == expected_runs, (backend, workers)

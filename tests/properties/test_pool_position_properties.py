@@ -4,8 +4,9 @@ A warm pool's length is its stream position: nothing else records where
 the stream stands.  Whatever interleaving of top-ups, suffix
 truncations, spill-and-reattach into a fresh context, fleet resizes and
 graph mutations (with incremental repair) a context goes through, on a
-serial or a thread fleet, its pool must hold exactly the per-set
-reference of stream sets ``[0, len(pool))`` on the current graph.
+serial or a thread fleet it borrows (as an engine session's pools do),
+its pool must hold exactly the per-set reference of stream sets
+``[0, len(pool))`` on the current graph.
 """
 
 import tempfile
@@ -19,8 +20,10 @@ from repro.dynamic import GraphDelta, MutableGraphView
 from repro.dynamic.repair import repair_context
 from repro.engine.context import SamplingContext
 from repro.graph import assign_weighted_cascade, powerlaw_configuration
+from repro.sampling.backends import make_backend
 from repro.sampling.base import make_sampler
 from repro.sampling.kernels import reference_block
+from repro.sampling.sharded import default_fleet
 from repro.service.store import PoolStore, make_stamp
 
 SEED = 2016
@@ -69,13 +72,13 @@ def _assert_pool_is_the_stream(ctx, model):
 @settings(max_examples=50, deadline=None)
 def test_pool_holds_stream_prefix_through_every_operation(backend, workers, model, ops):
     view = MutableGraphView(GRAPH)
+    name, count = default_fleet(backend, workers)
+    fleet = make_backend(name)
+    fleet.start(count)
 
     def fresh():
         graph, version = view.snapshot()
-        return SamplingContext(
-            graph, model, seed=SEED, backend=backend, workers=workers,
-            graph_version=version,
-        )
+        return SamplingContext(graph, model, seed=SEED, backend=fleet, graph_version=version)
 
     ctx = fresh()
     with tempfile.TemporaryDirectory() as spill_dir:
@@ -98,8 +101,8 @@ def test_pool_holds_stream_prefix_through_every_operation(backend, workers, mode
                     if spilled is not None:
                         ctx.preload(spilled)
                 elif op == "resize":
-                    ctx.resize(arg)
-                    assert ctx.workers == arg
+                    fleet.resize(arg)
+                    assert ctx.sampler.workers == arg
                 else:
                     delta = _edge_delta(ctx.graph, *arg)
                     graph = view.apply(delta)
@@ -107,3 +110,4 @@ def test_pool_holds_stream_prefix_through_every_operation(backend, workers, mode
                 _assert_pool_is_the_stream(ctx, model)
         finally:
             ctx.close()
+            fleet.close()

@@ -20,7 +20,6 @@ from repro.sampling.backends import (
     ProcessBackend,
     SerialBackend,
     ThreadBackend,
-    WorkerSpec,
     make_backend,
 )
 from repro.sampling.rr_collection import RRCollection
@@ -66,13 +65,14 @@ class TestRegistry:
         hook is entitled to a stood-up fleet, so calling it against
         half-initialized state used to crash (or hang) instead of
         cleaning up nothing."""
-        from repro.diffusion.models import DiffusionModel
-
         backend = make_backend(name)
-        with pytest.raises(Exception):
-            # graph=None cannot be packed/shared/sampled: every backend's
-            # _start fails somewhere past validation.
-            backend.start(WorkerSpec(graph=None, model=DiffusionModel.parse("LT"), workers=2))
+
+        def broken(workers):
+            raise OSError("fleet stand-up failed")
+
+        backend._start = broken
+        with pytest.raises(OSError):
+            backend.start(2)
         assert not backend.started
         backend.close()
         backend.close()
@@ -80,9 +80,7 @@ class TestRegistry:
     def test_double_start_rejected(self, small_wc_graph):
         sampler = ShardedSampler(small_wc_graph, "LT", 2, seed=0, backend="serial")
         with pytest.raises(SamplingError):
-            sampler.backend.start(
-                WorkerSpec(graph=small_wc_graph, model=sampler.model, workers=2)
-            )
+            sampler.backend.start(2)
         sampler.close()
 
 
@@ -242,7 +240,7 @@ class TestProcessBackend:
                 # Out-of-range *root* pinned in worker 0's run while worker
                 # 1's run is good: the coordinator must relay the fault AND
                 # drain worker 1's reply so the pipe protocol stays in sync.
-                backend.sample_shards(np.arange(3), [10**6, -1, -1])
+                backend.sample_shards(sampler.registration, np.arange(3), [10**6, -1, -1])
             # The pool is still usable and not serving stale replies: the
             # injected batch consumed no stream position (sets derive from
             # their global index alone), so the next batch must equal a
@@ -307,9 +305,9 @@ class TestProcessBackend:
         of times, then the call raises with the recent crash context."""
 
         class DyingFleet(ProcessBackend):
-            def _dispatch(self, worker_id, indices, roots):
+            def _dispatch(self, worker_id, *run):
                 self._conns[worker_id].send(("abort", "poisoned batch"))
-                super()._dispatch(worker_id, indices, roots)
+                super()._dispatch(worker_id, *run)
 
         backend = DyingFleet()
         sampler = ShardedSampler(small_wc_graph, "LT", 2, seed=26, backend=backend)

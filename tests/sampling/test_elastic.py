@@ -100,7 +100,7 @@ class TestWorkerAndBackendInvariance:
             sampler.sample_batch(10)
             sampler.resize(5)
             assert sampler.workers == 5
-            runs = sampler.backend.sample_shards(np.arange(10, 30))
+            runs = sampler.backend.sample_shards(sampler.registration, np.arange(10, 30))
             assert [len(run) for run in runs] == [4] * 5
         finally:
             sampler.close()

@@ -8,6 +8,7 @@ byte-identical to a crash-free serial run, because seed-pure per-set
 derivation makes retry and re-partitioning pure reassignment.
 """
 
+import dataclasses
 import pickle
 import socket
 import threading
@@ -19,7 +20,8 @@ import pytest
 from repro.exceptions import SamplingError
 from repro.graph import assign_weighted_cascade, powerlaw_configuration
 from repro.graph.shm import pack_csr_graph
-from repro.sampling.backends import NetworkBackend, run_worker
+from repro.engine import InfluenceEngine
+from repro.sampling.backends import NetworkBackend, run_worker, set_network_defaults
 from repro.sampling.backends.netproto import (
     ConnectionClosed,
     load_cached_blob,
@@ -188,7 +190,7 @@ class TestFleetChurn:
             # failure: retrying it elsewhere would fail identically, so it
             # must raise — but without crashing or wedging the fleet.
             with pytest.raises(SamplingError, match="failed"):
-                backend.sample_shards(np.arange(2), [10**6, -1])
+                backend.sample_shards(sampler.registration, np.arange(2), [10**6, -1])
             after = [rr.tolist() for rr in sampler.sample_batch(12)]
             assert after == expected  # the failed call consumed no stream position
         finally:
@@ -242,7 +244,7 @@ class TestExternalHosts:
     def test_close_is_prompt_and_frees_a_fixed_port(self):
         """Closing the listener used to leave the accept thread blocked,
         so close() ran out its 5 s join and the port stayed bound: the
-        next fleet on a fixed address (a mutate's rebuild) failed."""
+        next fleet on a fixed address (the next session's) failed."""
         graph = _fleet_graph()
         probe = socket.socket()
         probe.bind(("127.0.0.1", 0))
@@ -276,14 +278,74 @@ class TestExternalHosts:
         finally:
             holder.close()
 
-    def test_wire_spec_carries_no_graph(self):
+    def test_stream_frames_carry_no_graph(self):
         graph = _fleet_graph()
         backend = NetworkBackend(spawn=0, min_hosts=0)
         sampler = ShardedSampler(graph, "LT", 1, seed=52, backend=backend)
         try:
-            # The graph must travel only as the content-addressed blob;
-            # pickling a full CSR graph per host would defeat the cache.
-            assert backend._wire_spec.graph is None
-            assert len(pickle.dumps(backend._wire_spec)) < len(backend._blob)
+            # The graph must travel only as the content-addressed blob,
+            # once per snapshot and host; pickling a full CSR graph into
+            # every stream registration would defeat the cache.
+            ((_snapshot, stream),) = backend._streams.values()
+            assert "graph" not in {f.name for f in dataclasses.fields(stream)}
+            assert len(pickle.dumps(stream)) < len(pack_csr_graph(graph)[0])
         finally:
             sampler.close()
+
+
+def _free_port() -> int:
+    probe = socket.socket()
+    probe.bind(("127.0.0.1", 0))
+    port = probe.getsockname()[1]
+    probe.close()
+    return port
+
+
+class TestSessionFleet:
+    """One fleet serves a whole session: every pool, and every write."""
+
+    def test_fixed_address_serves_dssa_ssa_and_a_mutate(self, tmp_path):
+        """Two external hosts on a fixed address answer D-SSA, SSA, a
+        mutate and D-SSA again in one session, as a serial session does,
+        and leave when the session closes.  Each pool used to start its
+        own fleet: SSA beside D-SSA could not bind the address, and the
+        mutate's rebuilt fleet waited for hosts that had already left."""
+        graph = _fleet_graph()
+        u = int(np.flatnonzero(np.diff(graph.out_indptr))[0])
+        edge = (u, int(graph.out_indices[graph.out_indptr[u]]), 0.9)
+        address = f"127.0.0.1:{_free_port()}"
+        hosts = [
+            threading.Thread(
+                target=run_worker,
+                args=(address,),
+                kwargs={"cache_dir": str(tmp_path), "label": f"ext-{i}", "retry_for": 60.0},
+                daemon=True,
+            )
+            for i in range(2)
+        ]
+        previous = set_network_defaults(
+            listen=address, spawn=0, min_hosts=2, start_timeout=60.0, join_grace=60.0
+        )
+        answers = {}
+        try:
+            for host in hosts:
+                host.start()
+            for backend in ("network", "serial"):
+                with InfluenceEngine(graph, model="LT", seed=61, backend=backend) as engine:
+                    results = [
+                        engine.maximize(3, epsilon=0.25),
+                        engine.maximize(3, epsilon=0.25, algorithm="SSA"),
+                    ]
+                    engine.mutate(reweight=[edge])
+                    results.append(engine.maximize(3, epsilon=0.25))
+                answers[backend] = [
+                    (list(r.seeds), r.influence, r.samples) for r in results
+                ]
+        finally:
+            set_network_defaults(**previous)
+            for host in hosts:
+                host.join(timeout=10)
+        assert answers["network"] == answers["serial"]
+        assert not any(host.is_alive() for host in hosts)
+        # Both snapshots reached the hosts as blobs, cached by hash.
+        assert len(list(tmp_path.glob("csr-*.blob"))) == 2

@@ -165,16 +165,22 @@ class TestBudget:
             assert len(got) == 400
         fresh.close()
 
-    def test_resize_skips_concurrently_evicted_entries(self, small_wc_graph):
-        """resize_namespace collects entries outside their locks; one
+    def test_fleet_rebind_skips_concurrently_evicted_entries(self, small_wc_graph):
+        """rebind_namespace collects entries outside their locks; one
         retired in between must be skipped, not raise 'context closed'."""
+        from repro.sampling.backends import make_backend
+
         manager = PoolManager()
         with manager.query(_key(), _factory(small_wc_graph)) as view:
             view.require(20)
         entry = next(iter(manager._entries.values()))
-        manager.release_namespace("s")  # closes the context
-        assert entry.resize(4) is False  # skip, no exception
-        assert manager.resize_namespace("s", 4) == 0
+        entry.ctx.close()  # retired between collection and its entry lock
+        fleet = make_backend("thread")
+        fleet.start(2)
+        try:
+            assert manager.rebind_namespace("s", fleet) == 0  # skip, no exception
+        finally:
+            fleet.close()
         manager.close()
 
     def test_namespaces_are_isolated(self, small_wc_graph):
