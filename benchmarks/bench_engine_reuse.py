@@ -1,15 +1,16 @@
 """Engine ablation: warm session queries vs cold one-shot calls.
 
 The `InfluenceEngine` exists for the "condition once, query many times"
-workload: one session keeps its execution backend warm and grows one
-RR-set pool that every query tops up instead of resampling.  This
-benchmark quantifies that, and enforces the PR's acceptance property:
+workload: one session keeps its execution backend warm and grows the
+RR-set pools that every query tops up instead of resampling.  This
+benchmark quantifies that for D-SSA (one pool) and SSA (an optimization
+pool plus the verification pool Estimate-Inf reads), and enforces:
 
 * a k-sweep of queries through one engine performs **strictly fewer**
-  total RR samples than the same queries as independent ``dssa()``
-  calls (the report prints the cache hit rate), and
-* every warm query returns **byte-identical** seeds/samples to its
-  one-shot counterpart at the same seed.
+  total RR samples, verification included, than the same queries as
+  independent one-shot calls (the report prints the cache hit rate), and
+* every warm query returns **byte-identical** seeds, influence and
+  sample counts to its one-shot counterpart at the same seed.
 
 Runs two ways:
 
@@ -35,6 +36,14 @@ if __package__ in (None, ""):  # executed as a script, not collected by pytest
 from benchmarks._common import BENCH_EPSILON, BENCH_SCALE, write_report
 
 
+def _answer(result) -> tuple:
+    """The fields a warm answer must share with its one-shot."""
+    return (
+        result.seeds, result.influence, result.samples,
+        result.optimization_samples, result.verification_samples,
+    )
+
+
 def measure_reuse(
     *,
     dataset: str = "nethept",
@@ -45,18 +54,20 @@ def measure_reuse(
     seed: int = 2016,
     backend: str | None = None,
     workers: int | None = None,
+    algorithm: str = "D-SSA",
 ) -> dict:
     """Cold-vs-warm measurements for one k-sweep; returns a stats dict."""
-    from repro.core.dssa import dssa
     from repro.datasets.synthetic import load_dataset
     from repro.engine import InfluenceEngine
+    from repro.engine.registry import get_algorithm
 
     graph = load_dataset(dataset, scale=scale)
+    one_shot = get_algorithm(algorithm).func
 
     cold_results = {}
     cold_start = time.perf_counter()
     for k in ks:
-        cold_results[k] = dssa(
+        cold_results[k] = one_shot(
             graph, k, epsilon=epsilon, model=model, seed=seed,
             backend=backend, workers=workers,
         )
@@ -67,18 +78,18 @@ def measure_reuse(
     with InfluenceEngine(
         graph, model=model, seed=seed, backend=backend, workers=workers
     ) as engine:
-        warm_results = {r.k: r for r in engine.sweep(ks, epsilon=epsilon)}
+        warm_results = {
+            r.k: r for r in engine.sweep(ks, epsilon=epsilon, algorithm=algorithm)
+        }
         stats = engine.stats
     warm_seconds = time.perf_counter() - warm_start
 
     mismatches = [
-        k
-        for k in ks
-        if warm_results[k].seeds != cold_results[k].seeds
-        or warm_results[k].samples != cold_results[k].samples
+        k for k in ks if _answer(warm_results[k]) != _answer(cold_results[k])
     ]
     return {
         "graph": graph,
+        "algorithm": algorithm,
         "ks": ks,
         "epsilon": epsilon,
         "cold_samples": cold_samples,
@@ -106,15 +117,15 @@ def render_report(m: dict, *, dataset: str, backend: str | None) -> str:
         ["k", "cold RR demand", "warm RR demand", "byte-identical"],
         rows,
         title=(
-            f"Engine reuse on {dataset} (n={graph.n}, m={graph.m}), "
-            f"eps={m['epsilon']}, backend={backend or 'serial'}"
+            f"Engine reuse for {m['algorithm']} on {dataset} (n={graph.n}, "
+            f"m={graph.m}), eps={m['epsilon']}, backend={backend or 'serial'}"
         ),
     )
     saved = m["cold_samples"] - m["warm_sampled"]
     lines = [
         table,
         "",
-        f"cold: {len(m['ks'])} independent dssa() calls sampled "
+        f"cold: {len(m['ks'])} independent {m['algorithm']} calls sampled "
         f"{m['cold_samples']} RR sets in {m['cold_seconds']:.2f}s",
         f"warm: one engine session sampled {m['warm_sampled']} RR sets "
         f"({m['warm_requested']} demanded, hit rate {m['hit_rate']:.1%}) "
@@ -142,6 +153,20 @@ def test_reuse_holds_on_thread_backend():
     assert m["warm_sampled"] < m["cold_samples"]
 
 
+def test_ssa_sweep_reuses_its_verification_sets():
+    """Warm SSA answers equal cold ssa() calls, and the session samples
+    strictly less than they do, verification sets included."""
+    m = measure_reuse(scale=0.2, ks=(2, 4, 6, 8, 10), algorithm="SSA")
+    assert m["mismatches"] == [], f"warm != cold at k={m['mismatches']}"
+    assert m["warm_sampled"] < m["cold_samples"]
+
+
+def test_ssa_reuse_holds_on_thread_backend():
+    m = measure_reuse(scale=0.15, ks=(3, 6), backend="thread", workers=2, algorithm="SSA")
+    assert m["mismatches"] == []
+    assert m["warm_sampled"] < m["cold_samples"]
+
+
 # ----------------------------------------------------------------------
 # Script mode
 # ----------------------------------------------------------------------
@@ -164,21 +189,28 @@ def main(argv: "list[str] | None" = None) -> int:
     if args.smoke:
         args.scale, args.ks = min(args.scale, 0.2), [2, 4, 6, 8, 10]
 
-    m = measure_reuse(
-        dataset=args.dataset, scale=args.scale, model=args.model,
-        epsilon=args.epsilon, ks=tuple(args.ks), seed=args.seed,
-        backend=args.backend, workers=args.workers,
+    runs = [
+        measure_reuse(
+            dataset=args.dataset, scale=args.scale, model=args.model,
+            epsilon=args.epsilon, ks=tuple(args.ks), seed=args.seed,
+            backend=args.backend, workers=args.workers, algorithm=algorithm,
+        )
+        for algorithm in ("D-SSA", "SSA")
+    ]
+    write_report(
+        "engine_reuse",
+        "\n\n".join(render_report(m, dataset=args.dataset, backend=args.backend) for m in runs),
     )
-    report = render_report(m, dataset=args.dataset, backend=args.backend)
-    write_report("engine_reuse", report)
 
-    if m["mismatches"]:
-        print(f"FAIL: warm results diverged from cold at k={m['mismatches']}")
-        return 1
-    if not m["warm_sampled"] < m["cold_samples"]:
-        print("FAIL: warm session did not sample strictly fewer RR sets")
-        return 1
-    return 0
+    status = 0
+    for m in runs:
+        if m["mismatches"]:
+            print(f"FAIL: warm {m['algorithm']} diverged from cold at k={m['mismatches']}")
+            status = 1
+        if not m["warm_sampled"] < m["cold_samples"]:
+            print(f"FAIL: warm {m['algorithm']} session did not sample strictly fewer RR sets")
+            status = 1
+    return status
 
 
 if __name__ == "__main__":

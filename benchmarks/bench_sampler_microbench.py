@@ -119,11 +119,10 @@ def _time_reference(sampler, indices) -> float:
 
 
 def _time_engine(sampler, indices, passes: int = 1) -> float:
-    """Seconds per ``sample_batch`` pass over the same ``indices``."""
+    """Seconds per ``sample_block`` pass over the same ``indices``."""
     start = time.perf_counter()
     for _ in range(passes):
-        sampler.seek(int(indices[0]))
-        sampler.sample_batch(indices.size)
+        sampler.sample_block(indices)
     return (time.perf_counter() - start) / passes
 
 

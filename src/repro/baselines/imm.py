@@ -134,7 +134,6 @@ def imm_on_context(
     aliases=("imm",),
     description="IMM (Tang et al. 2015): martingale LB estimation + fixed theta",
     engine_func=imm_on_context,
-    stream="direct",
     needs_rr_sets=True,
     supports_backend=True,
     supports_horizon=False,

@@ -176,7 +176,6 @@ _TIM_ACCEPTS = (
     aliases=("tim",),
     description="TIM (Tang et al. 2014): KPT estimation + one-shot RIS at theta",
     engine_func=tim_on_context,
-    stream="direct",
     needs_rr_sets=True,
     supports_backend=True,
     supports_horizon=False,
@@ -208,7 +207,6 @@ def tim(
     aliases=("tim+", "tim_plus", "timplus"),
     description="TIM+ : TIM with the intermediate KPT refinement step",
     engine_func=tim_plus_on_context,
-    stream="direct",
     needs_rr_sets=True,
     supports_backend=True,
     supports_horizon=False,

@@ -169,7 +169,6 @@ def dssa_on_context(
     aliases=("dssa",),
     description="Dynamic Stop-and-Stare (Alg. 4): one stream, data-driven epsilons",
     engine_func=dssa_on_context,
-    stream="direct",
     needs_rr_sets=True,
     supports_backend=True,
     supports_horizon=True,

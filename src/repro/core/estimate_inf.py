@@ -9,6 +9,12 @@ to |R|) aborts those verifications cheaply, keeping SSA near-linear.
 
 The returned estimate satisfies the one-sided guarantee of Lemma 3:
 ``Pr[Ic(S) ≤ (1+ε') I(S)] ≥ 1 - δ'``.
+
+Verification set ``t`` is a pure function of the verification stream's
+seed and ``t``, so the stream is a pool like any other: the estimator
+reads pooled sets ``[start, start+T)`` by position from a sampling
+context, and sets it reads past its stopping point stay pooled for the
+next call.
 """
 
 from __future__ import annotations
@@ -20,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.exceptions import ParameterError
-from repro.sampling.base import RRSampler
 from repro.utils.mathstats import upsilon
 
 
@@ -30,7 +35,8 @@ class InfluenceEstimate:
 
     ``influence`` is ``None`` when the sample cap was hit before Λ₂
     successes accumulated (the paper's ``-1`` sentinel); ``samples_used``
-    counts RR sets generated either way so callers can account for them.
+    counts the RR sets the estimate read either way, so the call stopped
+    at stream position ``start + samples_used``.
     """
 
     influence: float | None
@@ -49,17 +55,21 @@ def required_successes(epsilon: float, delta: float) -> float:
 
 
 def estimate_influence(
-    sampler: RRSampler,
+    ctx,
     seeds: Sequence[int],
     epsilon: float,
     delta: float,
     max_samples: int,
+    *,
+    start: int = 0,
 ) -> InfluenceEstimate:
     """Run Estimate-Inf for seed set ``seeds`` (Algorithm 3).
 
-    Samples come from ``sampler`` — callers choose whether that stream is
-    independent of the optimization samples (SSA uses an independent
-    sampler; the stopping-rule guarantee needs fresh randomness).
+    Samples are the sets ``[start, start + T)`` of ``ctx`` (a
+    :class:`~repro.engine.context.SamplingContext` or a pool's query
+    view), read by position.  Callers choose whether that stream is
+    independent of the optimization samples (SSA verifies on its own
+    stream; the stopping-rule guarantee needs fresh randomness).
     """
     if epsilon <= 0:
         raise ParameterError(f"epsilon must be positive, got {epsilon}")
@@ -69,7 +79,7 @@ def estimate_influence(
         raise ParameterError(f"max_samples must be at least 1, got {max_samples}")
 
     lambda_2 = required_successes(epsilon, delta)
-    n = sampler.graph.n
+    n = ctx.graph.n
     seed_mask = np.zeros(n, dtype=bool)
     seed_arr = np.asarray(list(seeds), dtype=np.int64)
     if seed_arr.size == 0:
@@ -78,31 +88,27 @@ def estimate_influence(
         raise ParameterError("seed id out of range")
     seed_mask[seed_arr] = True
 
-    # Draw ahead in blocks through the lockstep engine (one set per call
-    # would pay a block's dispatch for every set): at first the successes
-    # still missing, doubling while none has come, then as many sets as
-    # the hit rate so far says are needed.  Sets past the stopping point
-    # are given back, so the stream stops at the same set a one-at-a-time
-    # loop would.
+    # Read ahead in blocks (one set per top-up would pay a block's
+    # dispatch for every set): at first the successes still missing,
+    # doubling while none has come, then as many sets as the hit rate so
+    # far says are needed.  The stopping set is the one a set-by-set loop
+    # stops at; sets read past it stay pooled.
     successes = 0
     t = 0
     while t < max_samples:
         missing = math.ceil(lambda_2 - successes)
         want = max(missing, t) if successes == 0 else missing * t / successes
         count = min(max_samples - t, max(1, math.ceil(want)))
-        batch = sampler.sample_batch(count)
+        lo = start + t
+        flat, offsets = ctx.require(lo + count).flat_view(lo, lo + count)
         # Every RR set holds its root, so no reduceat segment is empty.
-        hits = np.logical_or.reduceat(seed_mask[batch.flat], batch.offsets[:-1])
+        hits = np.logical_or.reduceat(seed_mask[flat], offsets[:-1])
         reached = successes + np.cumsum(hits)
         if reached[-1] >= lambda_2:
             used = int(np.searchsorted(reached, lambda_2)) + 1
-            sampler.seek(
-                sampler.sets_generated - (count - used),
-                entries=sampler.entries_generated - int(batch.flat.size - batch.offsets[used]),
-            )
             t += used
             return InfluenceEstimate(
-                influence=sampler.scale * lambda_2 / t,
+                influence=ctx.scale * lambda_2 / t,
                 samples_used=t,
                 successes=int(reached[used - 1]),
             )

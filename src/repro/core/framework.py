@@ -9,6 +9,8 @@ for users who already know a sample budget.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.max_coverage import MaxCoverageResult, max_coverage
 from repro.core.result import IMResult
 from repro.exceptions import ParameterError
@@ -26,16 +28,16 @@ def ris_two_step(
 ) -> tuple[MaxCoverageResult, RRCollection]:
     """Generate RR sets up to ``theta`` total, then solve max-coverage.
 
-    An existing ``collection`` is topped up rather than regenerated, which
-    is how the doubling algorithms reuse earlier samples.
+    An existing ``collection`` holding a prefix of ``sampler``'s stream
+    is topped up by position, with sets ``[len(collection), theta)``,
+    rather than regenerated.
     """
     if theta < 1:
         raise ParameterError(f"theta must be at least 1, got {theta}")
     if collection is None:
         collection = RRCollection(sampler.graph.n)
-    deficit = theta - len(collection)
-    if deficit > 0:
-        collection.extend(sampler.sample_batch(deficit))
+    if theta > len(collection):
+        collection.extend(sampler.sample_block(np.arange(len(collection), theta)))
     cover = max_coverage(collection, k, start=0, end=theta)
     return cover, collection
 

@@ -19,12 +19,13 @@ guarantees the approximation (Lemma 4).  Theorem 2: the returned set is a
 ``(1-1/e-ε)``-approximation with probability ≥ 1-δ; Theorem 3: the sample
 count is within a constant factor of a type-1 minimum threshold.
 
-The body (:func:`ssa_on_context`) runs on a *split-stream*
-:class:`~repro.engine.context.SamplingContext`: the optimization pool is
-a cacheable prefix of the session's main stream, while the verification
-stream is re-derived per query exactly as a cold run derives it
-(``spawn_rngs(seed, 2)[1]``), so warm engine queries stay byte-identical
-to :func:`ssa` at equal seeds.
+The body (:func:`ssa_on_context`) reads two
+:class:`~repro.engine.context.SamplingContext` pools, seeded with the two
+children of ``spawn_rngs(seed, 2)``: the optimization pool ``[0, used)``
+of the ``split`` stream, and the ``verify`` stream, which Estimate-Inf
+reads by position from where the previous check stopped.  Both are
+cacheable prefixes, so a warm engine query samples nothing it has
+sampled before and stays byte-identical to :func:`ssa` at equal seeds.
 """
 
 from __future__ import annotations
@@ -49,12 +50,14 @@ from repro.graph.digraph import CSRGraph
 from repro.sampling.backends import ExecutionBackend
 from repro.sampling.roots import UniformRoots, WeightedRoots
 from repro.utils.mathstats import upsilon
+from repro.utils.rng import spawn_rngs
 from repro.utils.timer import Timer
 from repro.utils.validation import check_delta, check_epsilon, check_k, check_positive_int
 
 
 def ssa_on_context(
     ctx: SamplingContext,
+    verify: SamplingContext,
     k: int,
     *,
     epsilon: float = 0.1,
@@ -62,12 +65,14 @@ def ssa_on_context(
     max_samples: int | None = None,
     split: EpsilonSplit | None = None,
 ) -> IMResult:
-    """Algorithm 1 against a (possibly warm) split-stream context.
+    """Algorithm 1 against (possibly warm) optimization and verification
+    contexts.
 
-    The optimization pool is the stream prefix ``[0, used)`` with
-    ``used`` doubling per iteration; verification samples come from the
-    per-query verifier and are never pooled (they are candidate-
-    dependent, hence not reusable).
+    The optimization pool is ``ctx``'s prefix ``[0, used)`` with
+    ``used`` doubling per iteration.  Each Estimate-Inf check reads
+    ``verify`` from the position the previous check stopped at, so the
+    query consumes the verification prefix ``[0, verified)``; the sets
+    do not depend on the candidate, only where each check stops does.
     """
     graph = ctx.graph
     n = graph.n
@@ -88,8 +93,8 @@ def ssa_on_context(
     lambda_base = upsilon(epsilon, per_iter_delta)
     lambda_1 = (1.0 + e1) * (1.0 + e2) * upsilon(e3, per_iter_delta)
 
-    verifier = ctx.fresh_verifier()
     scale = ctx.scale
+    verified = 0
 
     with Timer() as timer:
         # The first iteration doubles to 2·⌈Λ⌉ and requires that prefix in
@@ -120,7 +125,10 @@ def ssa_on_context(
                 t_max = int(
                     math.ceil(2.0 * used * (1.0 + e2) / (1.0 - e2) * (e3 * e3) / (e2 * e2))
                 )
-                check = estimate_influence(verifier, cover.seeds, e2, per_iter_delta, t_max)
+                check = estimate_influence(
+                    verify, cover.seeds, e2, per_iter_delta, t_max, start=verified
+                )
+                verified += check.samples_used
                 record["verify_samples"] = check.samples_used
                 record["influence_check"] = check.influence
                 if check.influence is not None and influence_hat <= (1.0 + e1) * check.influence:
@@ -137,9 +145,9 @@ def ssa_on_context(
         algorithm="SSA",
         seeds=cover.seeds,
         influence=cover.influence_estimate(scale),
-        samples=used + verifier.sets_generated,
+        samples=used + verified,
         optimization_samples=used,
-        verification_samples=verifier.sets_generated,
+        verification_samples=verified,
         iterations=iterations,
         stopped_by=stopped_by,
         elapsed_seconds=timer.elapsed,
@@ -159,7 +167,7 @@ def ssa_on_context(
     aliases=("ssa",),
     description="Stop-and-Stare (Alg. 1): doubling pool + independent verification",
     engine_func=ssa_on_context,
-    stream="split",
+    streams=("split", "verify"),
     needs_rr_sets=True,
     supports_backend=True,
     supports_horizon=True,
@@ -223,29 +231,24 @@ def ssa(
         number of activations within T rounds (RR sets are truncated to
         T reverse hops, the exact dual of T-round cascades).
     backend, workers:
-        Parallel execution of the optimization pool's sampling: backend
-        name (``"serial"``, ``"thread"``, ``"process"``) and worker
-        count.  Defaults keep the single-stream behaviour; the
-        verification stream stays serial (its batches are small).
+        Parallel execution of the sampling: backend name
+        (``"serial"``, ``"thread"``, ``"process"``) and worker count.
+        The optimization and verification streams share one fleet.
 
     One-shot convenience over a throwaway single-query session; use
     :class:`~repro.engine.engine.InfluenceEngine` to answer many
     queries against one warm backend and RR pool.
     """
-    ctx = SamplingContext(
-        graph,
-        model,
-        seed=seed,
-        split_verify=True,
-        roots=roots,
-        horizon=horizon,
-        backend=backend,
-        workers=workers,
-        kernel=kernel,
-    )
-    try:
+    # One spawn: a Generator seed's spawn counter moves on every call.
+    main_seed, verify_seed = spawn_rngs(seed, 2)
+    with SamplingContext(
+        graph, model, seed=main_seed, roots=roots, horizon=horizon,
+        backend=backend, workers=workers, kernel=kernel,
+    ) as ctx, SamplingContext(
+        # Borrows ctx's started fleet, and is released before ctx closes it.
+        graph, model, seed=verify_seed, roots=roots, horizon=horizon,
+        backend=ctx.sampler.backend,
+    ) as verify:
         return ssa_on_context(
-            ctx, k, epsilon=epsilon, delta=delta, max_samples=max_samples, split=split
+            ctx, verify, k, epsilon=epsilon, delta=delta, max_samples=max_samples, split=split
         )
-    finally:
-        ctx.close()

@@ -20,6 +20,9 @@ The one-shot wrappers (``dssa(...)``, ``ssa(...)``, ...) build a
 throwaway context per call, which both guarantees backend teardown on
 any exception path (``try/finally``) and makes "one-shot" literally the
 single-query special case of the engine — equivalence by construction.
+A context holds one stream; SSA reads two (its optimization pool and
+Estimate-Inf's verification pool), each an ordinary context seeded with
+its own child of ``spawn_rngs(seed, 2)``.
 """
 
 from __future__ import annotations
@@ -28,10 +31,8 @@ import numpy as np
 
 from repro.diffusion.models import DiffusionModel
 from repro.exceptions import ParameterError, SamplingError
-from repro.sampling.base import RRSampler, make_sampler
 from repro.sampling.rr_collection import RRCollection
 from repro.sampling.sharded import ShardedSampler, make_parallel_sampler
-from repro.utils.rng import spawn_rngs
 
 
 class SamplingContext:
@@ -48,15 +49,9 @@ class SamplingContext:
         :func:`~repro.sampling.sharded.default_fleet` (with no backend
         named: serial at one worker, threads above one).
     seed:
-        Session seed.  An ``int`` (or ``None``) keeps the context fully
-        replayable; a :class:`numpy.random.Generator` is accepted for
-        one-shot use but cannot re-derive verification streams across
-        queries.
-    split_verify:
-        ``True`` for SSA's two-stream derivation: the main sampler is
-        seeded with ``spawn_rngs(seed, 2)[0]`` and each query gets a
-        fresh verification sampler derived exactly as a cold ``ssa``
-        call would derive it.
+        The stream's seed.  An ``int`` (or ``None``) keeps the context
+        replayable and spillable; a :class:`numpy.random.Generator`
+        (one-shot use) contributes its SeedSequence.
     kernel:
         Accepted kernel name (see :mod:`repro.sampling.kernels`):
         validated, selects nothing.
@@ -68,7 +63,6 @@ class SamplingContext:
         model: "str | DiffusionModel",
         *,
         seed=None,
-        split_verify: bool = False,
         roots=None,
         horizon: int | None = None,
         backend=None,
@@ -83,17 +77,10 @@ class SamplingContext:
         self.model = DiffusionModel.parse(model)
         self.roots = roots
         self.horizon = horizon
-        self._seed = seed
-        self._split_verify = split_verify
-        self._stored_verify = None
-        if split_verify:
-            main_rng, self._stored_verify = spawn_rngs(seed, 2)
-        else:
-            main_rng = seed
         self.sampler: ShardedSampler = make_parallel_sampler(
             graph,
             model,
-            main_rng,
+            seed,
             roots=roots,
             max_hops=horizon,
             backend=backend,
@@ -126,25 +113,6 @@ class SamplingContext:
             self.pool.extend(self.sampler.sample_block(np.arange(count, total)))
             self.sampled += total - count
         return self.pool
-
-    def fresh_verifier(self) -> RRSampler:
-        """A verification-stream sampler, derived as a cold run derives it.
-
-        For replayable (int) seeds this re-computes
-        ``spawn_rngs(seed, 2)[1]`` per query — the same generator state a
-        cold ``ssa(seed=...)`` call spawns — so engine queries stay
-        byte-identical to one-shots.  Generator-seeded (one-shot)
-        contexts hand out the child spawned at construction.
-        """
-        if not self._split_verify:
-            raise SamplingError("context was built without a verification stream")
-        if isinstance(self._seed, (int, np.integer)):
-            rng = spawn_rngs(int(self._seed), 2)[1]
-        elif self._stored_verify is not None:
-            rng, self._stored_verify = self._stored_verify, None
-        else:  # non-replayable session past its first query: fresh entropy
-            rng = None
-        return make_sampler(self.graph, self.model, rng, roots=self.roots, max_hops=self.horizon)
 
     # ------------------------------------------------------------------
     # Graph mutation (see repro.dynamic)

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import threading
 import uuid
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -54,6 +55,7 @@ from repro.exceptions import ParameterError
 from repro.sampling.backends import BACKENDS, backend_key, make_backend
 from repro.sampling.seedstream import STREAM_ID
 from repro.sampling.sharded import default_fleet
+from repro.utils.rng import spawn_rngs
 
 #: pool floor for :meth:`InfluenceEngine.estimate` on an empty session.
 _DEFAULT_ESTIMATE_SAMPLES = 4096
@@ -65,7 +67,7 @@ class EngineStats:
 
     queries: int = 0
     rr_requested: int = 0  # RR sets queries demanded (cache hits included)
-    rr_sampled: int = 0  # RR sets actually generated
+    rr_sampled: int = 0  # RR sets actually generated, read-ahead included
     pool_bytes: int = 0  # retained RR-set bytes across the session's pools
     evictions: int = 0  # pools dropped by the byte-budget enforcer
     mutations: int = 0  # graph mutation batches applied this session
@@ -75,8 +77,10 @@ class EngineStats:
 
     @property
     def cache_hits(self) -> int:
-        """Demanded sets served from the cached pool instead of sampled."""
-        return self.rr_requested - self.rr_sampled
+        """Demanded sets served from the cached pool instead of sampled
+        (never negative: Estimate-Inf samples a few sets past its
+        stopping point that no query has demanded yet)."""
+        return max(0, self.rr_requested - self.rr_sampled)
 
     @property
     def hit_rate(self) -> float:
@@ -150,9 +154,11 @@ class InfluenceEngine:
         to a unique generated name.
 
     The engine lazily opens one pool per distinct ``(stream derivation,
-    model, horizon)`` — D-SSA, IMM, TIM, and TIM+ share a single pool
-    (they consume the same stream prefix), SSA's split-stream derivation
-    gets its own.  All queries are safe to issue from multiple threads.
+    model, horizon)`` — D-SSA, IMM, TIM, and TIM+ share a single
+    ``direct`` pool (they consume the same stream prefix); SSA reads two
+    of its own, the ``split`` optimization pool and the ``verify`` pool
+    Estimate-Inf reads.  All queries are safe to issue from multiple
+    threads.
     """
 
     def __init__(
@@ -281,11 +287,15 @@ class InfluenceEngine:
     def _pool_factory(self, *, stream: str, model: DiffusionModel, horizon: int | None):
         def factory():
             graph, graph_version = self._graph_view.snapshot()
+            seed = self.seed
+            if stream != "direct":
+                # SSA's two streams: the children a one-shot ssa() spawns.
+                split_seed, verify_seed = spawn_rngs(seed, 2)
+                seed = verify_seed if stream == "verify" else split_seed
             ctx = SamplingContext(
                 graph,
                 model,
-                seed=self.seed,
-                split_verify=(stream == "split"),
+                seed=seed,
                 roots=self.roots,
                 horizon=horizon,
                 backend=self._session_fleet(),
@@ -434,15 +444,19 @@ class InfluenceEngine:
 
         if workers is not None:
             self.resize(workers)
-        with self._query_pool(
-            stream=spec.stream, model=query_model, horizon=horizon
-        ) as view:
+        with ExitStack() as stack:
+            views = [
+                stack.enter_context(
+                    self._query_pool(stream=stream, model=query_model, horizon=horizon)
+                )
+                for stream in spec.streams
+            ]
             result = spec.engine_func(
-                view, k, epsilon=epsilon, delta=delta, max_samples=max_samples, **algorithm_kwargs
+                *views, k, epsilon=epsilon, delta=delta, max_samples=max_samples,
+                **algorithm_kwargs,
             )
-            demand = int(result.optimization_samples)
-            sampled = view.sampled
-        self._account(demand=demand, sampled=sampled)
+            sampled = sum(view.sampled for view in views)
+        self._account(demand=int(result.samples), sampled=sampled)
         return result
 
     def sweep(

@@ -52,16 +52,18 @@ class AlgorithmSpec:
     func:
         The one-shot entry point ``func(graph, k, **kwargs)``.
     engine_func:
-        Engine-aware body ``engine_func(ctx, k, *, epsilon, delta,
-        max_samples, ...)`` run against a warm
-        :class:`~repro.engine.context.SamplingContext`; ``None`` for
-        algorithms that do not sample RR sets (the engine falls back to
-        the one-shot entry point, with no pool reuse).
-    stream:
-        Which stream derivation the engine's warm context must use:
-        ``"direct"`` (sampler seeded with the session seed, shared by
-        D-SSA/IMM/TIM) or ``"split"`` (SSA's two-stream derivation via
-        ``spawn_rngs(seed, 2)``).
+        Engine-aware body ``engine_func(*ctxs, k, *, epsilon, delta,
+        max_samples, ...)`` run against one warm
+        :class:`~repro.engine.context.SamplingContext` per entry of
+        ``streams``, in that order; ``None`` for algorithms that do not
+        sample RR sets (the engine falls back to the one-shot entry
+        point, with no pool reuse).
+    streams:
+        The stream derivations whose pools the body reads:
+        ``("direct",)`` (the session seed's stream, shared by
+        D-SSA/IMM/TIM) or SSA's ``("split", "verify")`` (the two
+        children of ``spawn_rngs(seed, 2)``: the optimization pool and
+        Estimate-Inf's verification pool).
     needs_rr_sets / supports_backend / supports_horizon /
     supports_kernel:
         Capability flags the engine and docs surface.
@@ -71,8 +73,9 @@ class AlgorithmSpec:
     concurrency:
         How concurrent queries for this algorithm interact in a serving
         session: ``"shared-pool"`` (engine-bodied RIS algorithms — all
-        in-flight queries read snapshots of one RR pool, answers are
-        correlated but byte-identical to sequential runs) or
+        in-flight queries read snapshots of the same RR pools, answers
+        are correlated but byte-identical to sequential runs; SSA
+        answers share their verification sets the same way) or
         ``"isolated"`` (one-shot fallbacks — each query runs on private
         state, concurrency-safe but with no reuse).  The
         :class:`~repro.service.service.InfluenceService` surfaces this
@@ -89,7 +92,7 @@ class AlgorithmSpec:
     func: Callable
     description: str
     engine_func: Callable | None = None
-    stream: str = "direct"
+    streams: tuple = ("direct",)
     needs_rr_sets: bool = False
     supports_backend: bool = False
     supports_horizon: bool = False
@@ -120,7 +123,7 @@ def register_algorithm(
     *,
     description: str,
     engine_func: Callable | None = None,
-    stream: str = "direct",
+    streams: tuple = ("direct",),
     needs_rr_sets: bool = False,
     supports_backend: bool = False,
     supports_horizon: bool = False,
@@ -146,8 +149,11 @@ def register_algorithm(
     unknown = set(accepts) - set(KNOWN_OPTIONS)
     if unknown:
         raise ParameterError(f"algorithm {name!r} declares unknown options {sorted(unknown)}")
-    if stream not in ("direct", "split"):
-        raise ParameterError(f"algorithm {name!r}: stream must be 'direct' or 'split'")
+    streams = tuple(streams)
+    if streams not in (("direct",), ("split", "verify")):
+        raise ParameterError(
+            f"algorithm {name!r}: streams must be ('direct',) or ('split', 'verify')"
+        )
     if concurrency is None:
         concurrency = "shared-pool" if engine_func is not None else "isolated"
     if concurrency not in ("shared-pool", "isolated"):
@@ -161,7 +167,7 @@ def register_algorithm(
             func=func,
             description=description,
             engine_func=engine_func,
-            stream=stream,
+            streams=streams,
             needs_rr_sets=needs_rr_sets,
             supports_backend=supports_backend,
             supports_horizon=supports_horizon,

@@ -16,7 +16,8 @@ optimal coverage (and (1-1/e)/2 in general).
 ``budgeted_dssa`` runs the D-SSA sampling loop with this selector — a
 pragmatic extension: the stopping analysis is calibrated for the
 cardinality-constrained greedy, so the approximation constant here is the
-budgeted one, not the paper's (1-1/e-ε).
+budgeted one, not the paper's (1-1/e-ε).  Like D-SSA it reads stream
+prefixes from a :class:`~repro.engine.context.SamplingContext`.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ from repro.core.max_coverage import MaxCoverageResult
 from repro.core.result import IMResult
 from repro.core.thresholds import max_iterations, sample_cap
 from repro.diffusion.models import DiffusionModel
+from repro.engine.context import SamplingContext
 from repro.exceptions import ParameterError
 from repro.graph.digraph import CSRGraph
-from repro.sampling.base import make_sampler
 from repro.sampling.block import concat_ranges
 from repro.sampling.rr_collection import RRCollection, sets_in_range
 from repro.utils.mathstats import upsilon
@@ -160,11 +161,8 @@ def budgeted_dssa(
     lambda_base = int(math.ceil(upsilon(epsilon, per_iter_delta)))
     lambda_1 = 1.0 + (1.0 + epsilon) * upsilon(epsilon, per_iter_delta)
 
-    sampler = make_sampler(graph, model, seed)
-    scale = sampler.scale
-
-    with Timer() as timer:
-        stream = RRCollection(n)
+    with SamplingContext(graph, model, seed=seed) as ctx, Timer() as timer:
+        scale = ctx.scale
         cover = None
         influence_hat = 0.0
         iterations = 0
@@ -173,8 +171,7 @@ def budgeted_dssa(
             iterations += 1
             half = lambda_base * (2 ** (iterations - 1))
             need = 2 * half
-            if need > len(stream):
-                stream.extend(sampler.sample_batch(need - len(stream)))
+            stream = ctx.require(need)
             cover = budgeted_max_coverage(stream, costs, budget, start=0, end=half)
             influence_hat = cover.influence_estimate(scale)
             verify_cov = stream.coverage(cover.seeds, start=half, end=need) if cover.seeds else 0
@@ -194,8 +191,8 @@ def budgeted_dssa(
         algorithm="budgeted-D-SSA",
         seeds=cover.seeds,
         influence=influence_hat,
-        samples=sampler.sets_generated,
-        optimization_samples=sampler.sets_generated,
+        samples=ctx.sampled,
+        optimization_samples=ctx.sampled,
         iterations=iterations,
         stopped_by=stopped_by,
         elapsed_seconds=timer.elapsed,

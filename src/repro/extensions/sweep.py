@@ -11,7 +11,9 @@ planning dashboards.
 The guarantee caveat is surfaced honestly: only the k_max point carries
 D-SSA's (1-1/e-ε) certificate; prefix points are greedy-on-the-same-pool
 estimates (in practice indistinguishable from per-k runs, which
-``tests/extensions/test_sweep.py`` checks statistically).
+``tests/extensions/test_sweep.py`` checks statistically).  The prefix
+curve is scored on a fresh stream's sets ``[0, pool_size)``, sampled by
+index on the graph and model the k_max run answered on.
 """
 
 from __future__ import annotations
@@ -64,11 +66,14 @@ def influence_sweep(
 
     Pass a warm :class:`~repro.engine.engine.InfluenceEngine` as
     ``engine`` to serve the k_max run from its session pool (byte-
-    identical to the one-shot run at the engine's seed; ``model`` and
-    ``seed`` are then taken from the session).  For a sweep where every
-    point carries its own certificate, use ``engine.sweep(ks)`` instead
-    — one guaranteed query per k, amortized through the shared pool.
+    identical to the one-shot run at the engine's seed; ``graph``,
+    ``model`` and ``seed`` are then taken from the session, whose graph
+    reflects every ``mutate``).  For a sweep where every point carries
+    its own certificate, use ``engine.sweep(ks)`` instead — one
+    guaranteed query per k, amortized through the shared pool.
     """
+    if engine is not None:
+        graph, model = engine.graph, engine.model
     if not k_values:
         raise ParameterError("k_values must be non-empty")
     k_values = sorted(set(int(k) for k in k_values))
@@ -103,7 +108,7 @@ def influence_sweep(
         pool_size = min(pool_size, max_samples)
     sampler = make_sampler(graph, model, seed=np.random.default_rng(result.samples), roots=None)
     pool = RRCollection(graph.n)
-    pool.extend(sampler.sample_batch(pool_size))
+    pool.extend(sampler.sample_block(np.arange(pool_size)))
     cover = max_coverage(pool, k_max)
 
     influence_at: dict[int, float] = {}
@@ -117,6 +122,6 @@ def influence_sweep(
     return SweepResult(
         seeds=cover.seeds,
         influence_at=influence_at,
-        samples=result.samples + sampler.sets_generated,
+        samples=result.samples + pool_size,
         k_max=k_max,
     )

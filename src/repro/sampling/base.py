@@ -4,9 +4,6 @@ A sampler owns a graph, a root distribution, and a counter-based stream
 key, and produces RR sets — the nodes that can reach a random root in a
 random sampled subgraph (Definition 2) — as flat
 :class:`~repro.sampling.block.RRBlock` batches.
-Samplers also keep lifetime counters (sets generated, total entries)
-which the experiment harness uses for the paper's "number of RR sets"
-and memory reports.
 
 **The seed-pure stream contract.**  Every draw of set ``g`` — its root,
 each IC edge coin, each LT hop — is a counter-based function of the
@@ -16,9 +13,12 @@ batching, of the execution backend, of the worker count, and of any
 resize in between.  :meth:`RRSampler.sample_block` computes any sets by
 index; a warm pool's length is its stream position
 (:class:`~repro.engine.context.SamplingContext` tops it up by index).
-Consumers without a pool — SSA's verifier, budgeted D-SSA, the sweep —
-read the stream in order through :meth:`RRSampler.sample`,
-:meth:`RRSampler.sample_batch` and :meth:`RRSampler.seek`.
+Every consumer in the library reads by position: SSA's verification,
+budgeted D-SSA, the sweep and :func:`~repro.core.framework.ris_two_step`
+included.  The cursor (:meth:`RRSampler.sample`,
+:meth:`RRSampler.sample_batch` and the lifetime ``sets_generated`` and
+``entries_generated`` counters) stays for callers that read a stream in
+order.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import abc
 import numpy as np
 
 from repro.diffusion.models import DiffusionModel
-from repro.exceptions import SamplingError
 from repro.graph.digraph import CSRGraph
 from repro.sampling.block import RRBlock
 from repro.sampling.kernels import SamplingKernel, make_kernel
@@ -149,23 +148,6 @@ class RRSampler(abc.ABC):
         self.sets_generated += count
         self.entries_generated += int(batch.flat.size)
         return batch
-
-    def seek(self, index: int, *, entries: int | None = None) -> None:
-        """Reposition the stream so the next set generated is ``index``.
-
-        Per-set derivation makes any position directly addressable — no
-        replay, no RNG state.  ``entries`` optionally resets the lifetime
-        entry counter to match (see
-        :func:`~repro.core.estimate_inf.estimate_influence`, which gives
-        back the sets it drew past its stopping point).
-        """
-        index = int(index)
-        if index < 0:
-            raise SamplingError(f"stream index must be non-negative, got {index}")
-        self._cursor = index
-        self.sets_generated = index
-        if entries is not None:
-            self.entries_generated = int(entries)
 
     def close(self) -> None:
         """Release execution resources; no-op for in-process samplers.

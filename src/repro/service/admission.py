@@ -12,7 +12,8 @@ much of the demand is already cached:
   admission estimate is the first rung the pool does not already cover
   — the *cheapest outcome that samples at all*.  The true bill may
   double a few more times before the stopping conditions fire; the cap
-  rides along as the worst case (``cap_sets``).
+  rides along as the worst case (``cap_sets``).  Only a query's first
+  stream is billed: SSA's verification pool is not.
 * **Bytes per set** — the pool's observed mean (``nbytes / len``) when
   it holds anything, else a conservative prior
   (:data:`DEFAULT_SET_BYTES`).
@@ -199,7 +200,7 @@ def _estimate_cost(engine, *, op, session, params, quota_bytes):
         delta = _opt_num(params, "delta", float, 1.0 / max(n, 2))
         max_samples = _opt_num(params, "max_samples", int)
         occupancy, pooled_bytes = engine.pool_occupancy(
-            stream=spec.stream, model=model, horizon=horizon
+            stream=spec.streams[0], model=model, horizon=horizon
         )
         demand, cap = predict_demand(
             n, k, epsilon, delta, occupancy=occupancy, max_samples=max_samples

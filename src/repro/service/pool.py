@@ -117,11 +117,6 @@ class QueryView:
         self._snap = snap
         return snap
 
-    def fresh_verifier(self):
-        # Thread-safe for replayable (int) session seeds: the verifier is
-        # re-derived per call without touching shared mutable state.
-        return self._entry.ctx.fresh_verifier()
-
 
 class _PoolEntry:
     """One shared context + its lock and usage bookkeeping."""

@@ -39,20 +39,24 @@ class TestEngineMutate:
             assert stats.repairs == report["repaired"] > 0
             assert stats.repair_fraction == report["repair_fraction"]
 
-    def test_queries_after_mutate_match_cold_engine(self, small_wc_graph):
+    @pytest.mark.parametrize("algorithm", ["D-SSA", "SSA"])
+    def test_queries_after_mutate_match_cold_engine(self, small_wc_graph, algorithm):
+        """Repaired pools, SSA's verify pool included, answer like a cold
+        session on the mutated graph."""
         u, v = _existing_edge(small_wc_graph)
         delta = GraphDelta().remove_edge(u, v)
         with InfluenceEngine(small_wc_graph, model="LT", seed=SEED) as warm:
-            warm.maximize(4, epsilon=EPS)
+            warm.maximize(4, epsilon=EPS, algorithm=algorithm)
             warm.mutate(delta)
-            after = warm.maximize(4, epsilon=EPS)
+            after = warm.maximize(4, epsilon=EPS, algorithm=algorithm)
         mutated = MutableGraphView(small_wc_graph).apply(
             GraphDelta().remove_edge(u, v)
         )
         with InfluenceEngine(mutated, model="LT", seed=SEED) as cold:
-            expect = cold.maximize(4, epsilon=EPS)
+            expect = cold.maximize(4, epsilon=EPS, algorithm=algorithm)
         assert after.seeds == expect.seeds
         assert after.samples == expect.samples
+        assert after.verification_samples == expect.verification_samples
         assert after.influence == expect.influence
 
     def test_mutate_without_operations_is_rejected(self, small_wc_graph):

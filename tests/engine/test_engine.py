@@ -113,7 +113,7 @@ class TestBackendNames:
                 engine.maximize(3, epsilon=0.3, algorithm="SSA"),
                 engine.maximize(3, epsilon=0.3, model="IC"),
             ]
-            assert len(engine.pool_sizes()) == 3
+            assert len(engine.pool_sizes()) == 4  # SSA reads two
             fleets = {e.ctx.sampler.backend for e in engine.pool_manager._entries.values()}
             assert len(fleets) == 1 and fleets.pop().name == "thread"
         want = [
@@ -215,18 +215,36 @@ class TestSamplingContext:
         with pytest.raises(SamplingError):
             ctx.require(1)
 
-    def test_verifier_requires_split_stream(self, small_wc_graph):
-        with SamplingContext(small_wc_graph, "LT", seed=9) as ctx:
-            with pytest.raises(SamplingError):
-                ctx.fresh_verifier()
 
-    def test_split_verifier_rederivation_is_stable(self, small_wc_graph):
-        """Int-seeded contexts re-derive the same verification stream."""
-        with SamplingContext(small_wc_graph, "LT", seed=11, split_verify=True) as ctx:
-            a = ctx.fresh_verifier().sample_batch(5)
-            b = ctx.fresh_verifier().sample_batch(5)
-        for x, y in zip(a, b):
-            assert np.array_equal(x, y)
+
+class TestVerifyPool:
+    """SSA's verification stream is one more pool of the session."""
+
+    def test_a_warm_ssa_query_samples_nothing(self, small_wc_graph):
+        with InfluenceEngine(small_wc_graph, model="LT", seed=11) as engine:
+            first = engine.maximize(4, epsilon=0.25, algorithm="SSA")
+            stats = engine.stats_snapshot()
+            second = engine.maximize(4, epsilon=0.25, algorithm="SSA")
+            assert engine.stats.rr_sampled == stats.rr_sampled
+            assert engine.stats.rr_requested == stats.rr_requested + second.samples
+            assert ("verify", "LT", None) in {key[:3] for key in engine.pool_sizes()}
+        assert first.verification_samples > 0
+        assert (second.seeds, second.samples, second.verification_samples) == (
+            first.seeds, first.samples, first.verification_samples
+        )
+
+    def test_a_cold_ssa_query_counts_its_verification(self, small_wc_graph):
+        """Sets read past the stopping point stay pooled, so a cold query
+        samples more than it demands (17 sets at seed 6)."""
+        with InfluenceEngine(small_wc_graph, model="LT", seed=6) as engine:
+            result = engine.maximize(4, epsilon=0.25, algorithm="SSA")
+            stats = engine.stats_snapshot()
+            sizes = {key[0]: size for key, size in engine.pool_sizes().items()}
+        assert stats.rr_requested == result.samples
+        assert stats.rr_sampled == sizes["split"] + sizes["verify"] > result.samples
+        assert (stats.cache_hits, stats.hit_rate) == (0, 0.0)
+        assert sizes["split"] == result.optimization_samples
+        assert sizes["verify"] > result.verification_samples
 
 
 def _pool_fleets(engine):
@@ -241,7 +259,8 @@ def _assert_pools_are_the_stream(engine, graph, seed):
     """Every pool holds the per-set reference of its stream prefix."""
     for entry in engine.pool_manager._entries.values():
         ctx = entry.ctx
-        stream = spawn_rngs(seed, 2)[0] if entry.key.stream == "split" else seed
+        split_seed, verify_seed = spawn_rngs(seed, 2)
+        stream = {"direct": seed, "split": split_seed, "verify": verify_seed}[entry.key.stream]
         want = reference_block(
             make_sampler(graph, ctx.model, stream), np.arange(len(ctx.pool))
         )
@@ -279,8 +298,9 @@ class TestSessionFleet:
         assert got == want
 
     def test_process_session_runs_one_fleet_through_a_mutate(self, small_wc_graph):
-        """D-SSA and SSA on IC and LT open four pools on two worker
-        processes (each pool used to start its own pair), and a mutate
+        """D-SSA and SSA on IC and LT open six pools (SSA reads two) on
+        two worker processes (each pool used to start its own pair), and
+        a mutate
         keeps them: same pids, no respawn, answers as a cold session on
         the mutated graph."""
         queries = [
@@ -292,7 +312,7 @@ class TestSessionFleet:
         with InfluenceEngine(small_wc_graph, seed=12, backend="process", workers=2) as engine:
             for query in queries:
                 engine.maximize(3, epsilon=0.25, **query)
-            assert len(engine.pool_sizes()) == 4
+            assert len(engine.pool_sizes()) == 6
             workers = set(multiprocessing.active_children()) - before
             assert len(workers) == 2
             pids = {proc.pid for proc in workers}

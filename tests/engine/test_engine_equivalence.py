@@ -131,10 +131,12 @@ class TestCacheReuse:
             assert len(engine.pool_sizes()) == 1
             engine.maximize(4, epsilon=EPS, algorithm="IMM")
             engine.maximize(4, epsilon=EPS, algorithm="TIM")
-            # Still one direct-stream pool; SSA adds its split-stream one.
+            # Still one direct-stream pool; SSA adds its split and verify ones.
             assert len(engine.pool_sizes()) == 1
             engine.maximize(4, epsilon=EPS, algorithm="SSA")
-            assert len(engine.pool_sizes()) == 2
+            assert sorted(key[0] for key in engine.pool_sizes()) == [
+                "direct", "split", "verify"
+            ]
 
     def test_sweep_samples_strictly_less_than_independent_calls(
         self, small_wc_graph, kernel

@@ -50,9 +50,10 @@ class TestMetadata:
             assert spec.engine_func is None
             assert not spec.supports_kernel
 
-    def test_ssa_uses_split_stream(self):
-        assert get_algorithm("SSA").stream == "split"
-        assert get_algorithm("D-SSA").stream == "direct"
+    def test_ssa_reads_split_and_verify_streams(self):
+        assert get_algorithm("SSA").streams == ("split", "verify")
+        for name in ("D-SSA", "IMM", "TIM", "TIM+"):
+            assert get_algorithm(name).streams == ("direct",), name
 
     def test_horizon_capability(self):
         assert get_algorithm("D-SSA").supports_horizon
@@ -81,6 +82,13 @@ class TestRegistration:
         with pytest.raises(ParameterError):
             register_algorithm(
                 "brand-new-2", description="x", accepts=("not_a_knob",)
+            )(lambda g, k: None)
+
+    @pytest.mark.parametrize("streams", [("split",), ("verify",), ("direct", "verify"), ()])
+    def test_unknown_streams_rejected_at_registration(self, streams):
+        with pytest.raises(ParameterError, match="streams must be"):
+            register_algorithm(
+                "brand-new-3", description="x", streams=streams
             )(lambda g, k: None)
 
     def test_option_filtering(self):

@@ -1,8 +1,10 @@
 """Tests for amortized influence sweeps."""
 
+import numpy as np
 import pytest
 
 from repro.core.dssa import dssa
+from repro.engine import InfluenceEngine
 from repro.exceptions import ParameterError
 from repro.extensions.sweep import influence_sweep
 
@@ -39,6 +41,27 @@ class TestSweep:
             medium_wc_graph, [5, 2, 5], epsilon=0.2, model="LT", seed=4
         )
         assert sorted(sweep.influence_at) == [2, 5]
+
+    def test_engine_sweep_scores_on_the_session_model(self, medium_wc_graph):
+        """An LT session's sweep equals the one-shot LT sweep at the
+        session seed."""
+        with InfluenceEngine(medium_wc_graph, model="LT", seed=7) as engine:
+            warm = influence_sweep(medium_wc_graph, [2, 5], epsilon=0.3, engine=engine)
+        cold = influence_sweep(medium_wc_graph, [2, 5], epsilon=0.3, model="LT", seed=7)
+        assert warm == cold
+
+    def test_engine_sweep_scores_on_the_session_graph(self, medium_wc_graph):
+        """After a mutate the argument graph is stale; the curve is
+        scored on the session's current graph."""
+        sources = np.repeat(np.arange(medium_wc_graph.n), np.diff(medium_wc_graph.out_indptr))
+        edges = list(zip(sources[:40].tolist(), medium_wc_graph.out_indices[:40].tolist()))
+        with InfluenceEngine(medium_wc_graph, model="LT", seed=7) as engine:
+            engine.mutate(reweight=[(u, v, 0.05) for u, v in edges])
+            warm = influence_sweep(medium_wc_graph, [2, 5], epsilon=0.3, engine=engine)
+            mutated = engine.graph
+        cold = influence_sweep(mutated, [2, 5], epsilon=0.3, model="LT", seed=7)
+        stale = influence_sweep(medium_wc_graph, [2, 5], epsilon=0.3, model="LT", seed=7)
+        assert warm == cold != stale
 
     def test_validation(self, medium_wc_graph):
         with pytest.raises(ParameterError):

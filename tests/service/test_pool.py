@@ -108,8 +108,8 @@ class TestBudget:
 
     def test_suffix_truncation_keeps_the_hot_head(self, small_wc_graph):
         """Under byte pressure a big idle pool sheds its suffix first:
-        sets [0, keep) survive, the sampler seeks back, and the next
-        over-demand re-continues the stream byte-exactly."""
+        sets [0, keep) survive, and the next over-demand continues the
+        stream from the pool's length byte-exactly."""
         probe = PoolManager()
         with probe.query(_key(), _factory(small_wc_graph)) as view:
             full = view.require(400)

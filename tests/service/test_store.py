@@ -418,7 +418,10 @@ class TestEngineReattach:
             warm = e.maximize(4, epsilon=EPS, algorithm="SSA")
         with InfluenceEngine(small_wc_graph, model="LT", seed=SEED, spill_dir=tmp_path) as e:
             replay = e.maximize(4, epsilon=EPS, algorithm="SSA")
-            assert e.stats.rr_sampled == 0  # optimization pool fully reattached
+            assert e.stats.rr_sampled == 0  # both pools fully reattached
+            sizes = e.pool_sizes()
+            assert sorted(key[0] for key in sizes) == ["split", "verify"]
+            assert e.pool_manager.reattached_for(e.session) == sum(sizes.values())
         cold = ssa(small_wc_graph, 4, epsilon=EPS, model="LT", seed=SEED)
         assert replay.seeds == warm.seeds == cold.seeds
         assert replay.samples == cold.samples
